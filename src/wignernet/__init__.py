@@ -24,7 +24,6 @@ from .experiments import (
     SweepSpec,
     convergence_report,
     hbar_sweep,
-    model_predictor,
     oracle_predictor,
     phase_space_grids,
     save_phase_space,
@@ -47,16 +46,9 @@ from .network import (
     save_model,
 )
 from .oscillator import (
-    EvolvedState,
     GaussianWigner,
-    InitialState,
     OscillatorConfig,
-    classical_rk4,
-    evolve,
     evolve_batch,
-    evolve_mean,
-    evolve_widths,
-    sigma_p0,
     wigner_grid,
     wigner_value,
 )

@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
-    Dataset,
     SamplingRanges,
+    _write_text,
     build_dataset,
     load_dataset,
     load_splits,
@@ -35,10 +35,10 @@ from .data import (
 )
 from .experiments import (
     PhaseSpaceSpec,
+    SWEEP_HBAR_LOG10,
     SweepSpec,
     convergence_report,
     hbar_sweep,
-    model_predictor,
     oracle_predictor,
     phase_space_grids,
     save_phase_space,
@@ -57,44 +57,70 @@ EVAL_FILE = "eval.txt"
 SWEEP_FILE = "sweep.csv"
 
 
+# The config schema: per JSON section, the dataclass that owns its defaults,
+# the map from each JSON key to that dataclass's field, and the keys no
+# dataclass field holds, with their defaults.
+_SCHEMA = {
+    "oscillator": (OscillatorConfig, {"m": "m", "omega": "omega", "t": "t"}, {}),
+    "sampling": (
+        SamplingRanges,
+        {
+            "x0": "x0_range",
+            "p0": "p0_range",
+            "sigma_x0": "sigma_x0_range",
+            "hbar_log10": "hbar_log10_range",
+        },
+        {},
+    ),
+    "dataset": (None, {}, {"n_samples": 10000, "seed": 42, "split_seed": 7}),
+    "network": (
+        ArchitectureSpec,
+        {"hidden_dims": "hidden_dims", "batchnorm": "batchnorm"},
+        {"init_seed": 1},
+    ),
+    "training": (
+        TrainConfig,
+        {
+            "max_epochs": "max_epochs",
+            "batch_size": "batch_size",
+            "patience": "early_stop_patience",
+            "learning_rate": "learning_rate",
+            "shuffle_seed": "shuffle_seed",
+            "restore_best": "restore_best",
+        },
+        {},
+    ),
+    "sweep": (
+        SweepSpec,
+        {"x0": "x0", "p0": "p0", "sigma_x0": "sigma_x0"},
+        dict(zip(("hbar_log10_min", "hbar_log10_max", "n_points"), SWEEP_HBAR_LOG10)),
+    ),
+    "phasespace": (
+        PhaseSpaceSpec,
+        {key: key for key in (
+            "x0", "p0", "sigma_x0", "hbar_values", "grid_min", "grid_max", "grid_points"
+        )},
+        {},
+    ),
+    "out_dir": "runs/default",
+}
+
+
 def default_config() -> dict:
-    return {
-        "oscillator": {"m": 1.0, "omega": 1.0, "t": 5.0},
-        "sampling": {
-            "x0": [-5.0, 5.0],
-            "p0": [-5.0, 5.0],
-            "sigma_x0": [0.5, 2.0],
-            "hbar_log10": [-6.0, 0.0],
-        },
-        "dataset": {"n_samples": 10000, "seed": 42, "split_seed": 7},
-        "network": {"hidden_dims": [128, 256, 256, 128], "batchnorm": True, "init_seed": 1},
-        "training": {
-            "max_epochs": 1000,
-            "batch_size": 64,
-            "patience": 20,
-            "learning_rate": 0.0005,
-            "shuffle_seed": 3,
-            "restore_best": True,
-        },
-        "sweep": {
-            "x0": 1.0,
-            "p0": 0.0,
-            "sigma_x0": 1.0,
-            "hbar_log10_min": -6.0,
-            "hbar_log10_max": 0.0,
-            "n_points": 50,
-        },
-        "phasespace": {
-            "x0": 1.0,
-            "p0": 0.0,
-            "sigma_x0": 1.0,
-            "hbar_values": [1.0, 0.1, 0.01],
-            "grid_min": -10.0,
-            "grid_max": 10.0,
-            "grid_points": 100,
-        },
-        "out_dir": "runs/default",
-    }
+    """The full JSON config at its defaults, generated from _SCHEMA."""
+    cfg = {}
+    for key, entry in _SCHEMA.items():
+        if isinstance(entry, str):  # out_dir, the one top-level value
+            cfg[key] = entry
+            continue
+        owner, fields, own = entry
+        defaults = owner() if owner is not None else None
+        cfg[key] = {k: _to_json(getattr(defaults, name)) for k, name in fields.items()} | own
+    return cfg
+
+
+def _to_json(value):
+    return list(value) if isinstance(value, tuple) else value
 
 
 def _merge(base: dict, override: dict, path: str = "") -> dict:
@@ -139,59 +165,34 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "RunConfig":
-        osc = OscillatorConfig(**cfg["oscillator"])
-        ranges = SamplingRanges(
-            x0_range=tuple(cfg["sampling"]["x0"]),
-            p0_range=tuple(cfg["sampling"]["p0"]),
-            sigma_x0_range=tuple(cfg["sampling"]["sigma_x0"]),
-            hbar_log10_range=tuple(cfg["sampling"]["hbar_log10"]),
-        )
-        arch = ArchitectureSpec(
-            hidden_dims=tuple(cfg["network"]["hidden_dims"]),
-            batchnorm=cfg["network"]["batchnorm"],
-        )
-        tr = cfg["training"]
-        train_config = TrainConfig(
-            max_epochs=tr["max_epochs"],
-            batch_size=tr["batch_size"],
-            early_stop_patience=tr["patience"],
-            learning_rate=tr["learning_rate"],
-            shuffle_seed=tr["shuffle_seed"],
-            restore_best=tr["restore_best"],
-        )
+        def build(section: str, **extra):
+            owner, fields, _ = _SCHEMA[section]
+            values = cfg[section]
+            return owner(
+                **{name: _from_json(values[key]) for key, name in fields.items()}, **extra
+            )
+
+        osc = build("oscillator")
         sw = cfg["sweep"]
-        sweep_spec = SweepSpec(
-            x0=sw["x0"],
-            p0=sw["p0"],
-            sigma_x0=sw["sigma_x0"],
-            hbar_values=np.logspace(sw["hbar_log10_min"], sw["hbar_log10_max"], sw["n_points"]),
-            cfg=osc,
-        )
-        ps = cfg["phasespace"]
-        phasespace_spec = PhaseSpaceSpec(
-            x0=ps["x0"],
-            p0=ps["p0"],
-            sigma_x0=ps["sigma_x0"],
-            hbar_values=tuple(ps["hbar_values"]),
-            grid_min=ps["grid_min"],
-            grid_max=ps["grid_max"],
-            grid_points=ps["grid_points"],
-            cfg=osc,
-        )
+        hbars = np.logspace(sw["hbar_log10_min"], sw["hbar_log10_max"], sw["n_points"])
         return cls(
             oscillator=osc,
-            ranges=ranges,
+            ranges=build("sampling"),
             n_samples=cfg["dataset"]["n_samples"],
             data_seed=cfg["dataset"]["seed"],
             split_seed=cfg["dataset"]["split_seed"],
-            arch=arch,
+            arch=build("network"),
             init_seed=cfg["network"]["init_seed"],
-            train_config=train_config,
-            sweep_spec=sweep_spec,
-            phasespace_spec=phasespace_spec,
+            train_config=build("training"),
+            sweep_spec=build("sweep", hbar_values=hbars, cfg=osc),
+            phasespace_spec=build("phasespace", cfg=osc),
             out_dir=Path(cfg["out_dir"]),
             raw=cfg,
         )
+
+
+def _from_json(value):
+    return tuple(value) if isinstance(value, list) else value
 
 
 def _hbar_tag(hbar: float) -> str:
@@ -210,10 +211,8 @@ def _load_run_config(args) -> RunConfig:
 def _resolve_predictor(args, rc: RunConfig):
     """Pick the network or the exact closed form, per --oracle."""
     if args.oracle:
-        return oracle_predictor(rc.oscillator), None
-    model_path = args.model or rc.out_dir / MODEL_FILE
-    model = load_model(model_path)
-    return model_predictor(model), model
+        return oracle_predictor(rc.oscillator)
+    return load_model(args.model or rc.out_dir / MODEL_FILE).forward
 
 
 def cmd_generate(args) -> int:
@@ -275,24 +274,14 @@ def cmd_eval(args) -> int:
     rc = _load_run_config(args)
     ds = load_dataset(args.dataset or rc.out_dir / DATASET_FILE)
     splits = load_splits(args.splits or rc.out_dir / SPLITS_FILE)
-    predict, model = _resolve_predictor(args, rc)
-    if model is not None and model.spec.input_dim != ds.inputs.shape[1]:
-        raise ValueError(
-            f"model expects {model.spec.input_dim}-dim inputs, "
-            f"dataset provides {ds.inputs.shape[1]}"
-        )
+    total, per_output = evaluate(_resolve_predictor(args, rc), ds, splits.test)
 
-    preds = predict(ds.inputs[splits.test])
-    per_output = np.mean((preds - ds.targets[splits.test]) ** 2, axis=0)
-    total = float(per_output.mean())
-
-    lines = [
+    head = [
         f"test_rows {splits.test.size}",
-        f"test_mse {total:.17g}",
-        "per_output_test_mse " + " ".join(f"{v:.17g}" for v in per_output),
+        ("test_mse", [total]),
+        ("per_output_test_mse", per_output),
     ]
-    with open(rc.out_dir / EVAL_FILE, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(rc.out_dir / EVAL_FILE, head)
     print(f"test MSE {total:.6g} over {splits.test.size} rows")
     print("per-output MSE: " + " ".join(f"{v:.6g}" for v in per_output))
     return 0
@@ -300,7 +289,7 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     rc = _load_run_config(args)
-    predict, _ = _resolve_predictor(args, rc)
+    predict = _resolve_predictor(args, rc)
 
     # Trained range comes from the companion dataset when present.
     dataset_path = Path(args.dataset or rc.out_dir / DATASET_FILE)
@@ -326,7 +315,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_phasespace(args) -> int:
     rc = _load_run_config(args)
-    predict, _ = _resolve_predictor(args, rc)
+    predict = _resolve_predictor(args, rc)
     results = phase_space_grids(predict, rc.phasespace_spec)
 
     failures = 0

@@ -33,8 +33,26 @@ class EmptyDatasetError(DatasetFormatError):
     """Raised when a dataset file contains no data rows."""
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _write_text(path: str | os.PathLike, head, rows=()) -> None:
+    """Write a text file: the head lines, then the rows, each newline-terminated.
+
+    A head line is a string, written as it is, or a (label, values) pair,
+    written as the label and the values joined by spaces.  A row is a sequence
+    of values joined by commas.  Values are written with 17 significant
+    digits, which round-trips 64-bit floats exactly.
+    """
+
+    def digits(values):
+        return (f"{v:.17g}" for v in values)
+
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in head:
+            if not isinstance(line, str):
+                label, values = line
+                line = " ".join([label, *digits(values)])
+            fh.write(line + "\n")
+        for row in rows:
+            fh.write(",".join(digits(row)) + "\n")
 
 
 @dataclass
@@ -138,21 +156,18 @@ def split_indices(n: int, seed: int) -> SplitIndices:
 
 def save_dataset(ds: Dataset, path: str | os.PathLike) -> None:
     """Write the dataset CSV: a `#`-prefixed metadata block, header, then rows."""
-    lines = [
-        f"# m {_fmt(ds.config.m)}",
-        f"# omega {_fmt(ds.config.omega)}",
-        f"# t {_fmt(ds.config.t)}",
+    head = [
+        ("# m", [ds.config.m]),
+        ("# omega", [ds.config.omega]),
+        ("# t", [ds.config.t]),
         f"# seed {ds.seed}",
-        f"# x0_range {_fmt(ds.ranges.x0_range[0])} {_fmt(ds.ranges.x0_range[1])}",
-        f"# p0_range {_fmt(ds.ranges.p0_range[0])} {_fmt(ds.ranges.p0_range[1])}",
-        f"# sigma_x0_range {_fmt(ds.ranges.sigma_x0_range[0])} {_fmt(ds.ranges.sigma_x0_range[1])}",
-        f"# hbar_log10_range {_fmt(ds.ranges.hbar_log10_range[0])} {_fmt(ds.ranges.hbar_log10_range[1])}",
+        ("# x0_range", ds.ranges.x0_range),
+        ("# p0_range", ds.ranges.p0_range),
+        ("# sigma_x0_range", ds.ranges.sigma_x0_range),
+        ("# hbar_log10_range", ds.ranges.hbar_log10_range),
         CSV_HEADER,
     ]
-    for inp, tgt in zip(ds.inputs, ds.targets):
-        lines.append(",".join(_fmt(v) for v in (*inp, *tgt)))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, head, np.hstack([ds.inputs, ds.targets]))
 
 
 def load_dataset(path: str | os.PathLike) -> Dataset:
@@ -195,7 +210,7 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
     if missing:
         raise DatasetFormatError(f"{path}: metadata block is missing {', '.join(missing)}")
 
-    rows = []
+    rows, linenos = [], []
     for lineno, line in enumerate(raw_lines[data_start - 1 :], start=data_start):
         if not line.strip():
             continue
@@ -206,11 +221,16 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
             rows.append([float(c) for c in cells])
         except ValueError as exc:
             raise DatasetFormatError(f"line {lineno}: non-numeric value in {line!r}") from exc
+        linenos.append(lineno)
 
     if not rows:
         raise EmptyDatasetError(f"{path}: empty dataset (no data rows)")
 
     data = np.array(rows, dtype=np.float64)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        lineno = linenos[int(np.argmin(finite))]
+        raise DatasetFormatError(f"line {lineno}: non-finite value in {raw_lines[lineno - 1]!r}")
     cfg = OscillatorConfig(m=meta["m"][0], omega=meta["omega"][0], t=meta["t"][0])
     ranges = SamplingRanges(
         x0_range=tuple(meta["x0_range"]),
@@ -236,20 +256,21 @@ def save_splits(splits: SplitIndices, path: str | os.PathLike) -> None:
     for name, idx in (("train", splits.train), ("val", splits.validation), ("test", splits.test)):
         for i in idx:
             labels[int(i)] = name
-    lines = [SPLIT_HEADER]
-    for i in sorted(labels):
-        lines.append(f"{i},{labels[i]}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, [SPLIT_HEADER, *(f"{i},{labels[i]}" for i in sorted(labels))])
 
 
 def load_splits(path: str | os.PathLike) -> SplitIndices:
-    """Parse a split CSV written by save_splits."""
+    """Parse a split CSV written by save_splits.
+
+    Rows must list the indices 0, 1, 2, ... in order, one each, so that no
+    row can sit in two splits; any other index is reported with its line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         raw_lines = fh.read().splitlines()
     if not raw_lines or raw_lines[0].strip() != SPLIT_HEADER:
         raise DatasetFormatError(f"{path}: expected header {SPLIT_HEADER!r}")
     buckets: dict[str, list[int]] = {"train": [], "val": [], "test": []}
+    expected = 0
     for lineno, line in enumerate(raw_lines[1:], start=2):
         if not line.strip():
             continue
@@ -257,11 +278,15 @@ def load_splits(path: str | os.PathLike) -> SplitIndices:
         if len(cells) != 2 or cells[1] not in buckets:
             raise DatasetFormatError(f"line {lineno}: malformed split row {line!r}")
         try:
-            buckets[cells[1]].append(int(cells[0]))
+            index = int(cells[0])
         except ValueError as exc:
             raise DatasetFormatError(f"line {lineno}: non-integer index in {line!r}") from exc
+        if index != expected:
+            raise DatasetFormatError(f"line {lineno}: expected index {expected}, got {index}")
+        buckets[cells[1]].append(index)
+        expected += 1
     return SplitIndices(
-        train=np.sort(np.array(buckets["train"], dtype=np.int64)),
-        validation=np.sort(np.array(buckets["val"], dtype=np.int64)),
-        test=np.sort(np.array(buckets["test"], dtype=np.int64)),
+        train=np.array(buckets["train"], dtype=np.int64),
+        validation=np.array(buckets["val"], dtype=np.int64),
+        test=np.array(buckets["test"], dtype=np.int64),
     )

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .network import MlpModel
+from .data import _write_text
 from .oscillator import GaussianWigner, OscillatorConfig, evolve_batch, wigner_grid, wigner_value
 
 Predictor = Callable[[np.ndarray], np.ndarray]
@@ -30,8 +30,12 @@ class DegenerateWidthError(ValueError):
     """Raised when a predicted width is not positive and no Gaussian exists."""
 
 
+# log10 of the smallest and largest hbar, and the point count, of the default sweep.
+SWEEP_HBAR_LOG10 = (-6.0, 0.0, 50)
+
+
 def _default_sweep_hbars() -> np.ndarray:
-    return np.logspace(-6.0, 0.0, 50)
+    return np.logspace(*SWEEP_HBAR_LOG10)
 
 
 @dataclass
@@ -130,11 +134,6 @@ def oracle_predictor(cfg: OscillatorConfig) -> Predictor:
         return targets
 
     return predict
-
-
-def model_predictor(model: MlpModel) -> Predictor:
-    """Inference-mode wrapper around a trained network."""
-    return model.forward
 
 
 def _sweep_inputs(spec: SweepSpec, hbars: np.ndarray) -> np.ndarray:
@@ -255,18 +254,16 @@ def convergence_report(
 
 def save_sweep(result: SweepResult, path: str | os.PathLike) -> None:
     """Plot-ready sweep CSV, one row per hbar."""
-    lines = ["hbar,sigma_xt_pred,sigma_xt_analytical,rel_err,sigma_pt_pred,sigma_pt_analytical"]
-    for row in zip(
+    header = "hbar,sigma_xt_pred,sigma_xt_analytical,rel_err,sigma_pt_pred,sigma_pt_analytical"
+    rows = zip(
         result.hbar,
         result.sigma_xt_pred,
         result.sigma_xt_analytical,
         result.rel_err,
         result.sigma_pt_pred,
         result.sigma_pt_analytical,
-    ):
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    )
+    _write_text(path, [header], rows)
 
 
 def save_phase_space(result: PhaseSpaceResult, path: str | os.PathLike) -> None:
@@ -277,20 +274,17 @@ def save_phase_space(result: PhaseSpaceResult, path: str | os.PathLike) -> None:
     if result.error is not None:
         raise DegenerateWidthError(result.error)
     xt, pt, sigma_xt, sigma_pt = result.prediction
-    lines = [
-        f"# hbar {result.hbar:.17g}",
-        f"# xt_pred {xt:.17g}",
-        f"# pt_pred {pt:.17g}",
-        f"# sigma_xt_pred {sigma_xt:.17g}",
-        f"# sigma_pt_pred {sigma_pt:.17g}",
-        f"# x_min {result.x_axis[0]:.17g}",
-        f"# x_max {result.x_axis[-1]:.17g}",
-        f"# p_min {result.p_axis[0]:.17g}",
-        f"# p_max {result.p_axis[-1]:.17g}",
+    head = [
+        ("# hbar", [result.hbar]),
+        ("# xt_pred", [xt]),
+        ("# pt_pred", [pt]),
+        ("# sigma_xt_pred", [sigma_xt]),
+        ("# sigma_pt_pred", [sigma_pt]),
+        ("# x_min", [result.x_axis[0]]),
+        ("# x_max", [result.x_axis[-1]]),
+        ("# p_min", [result.p_axis[0]]),
+        ("# p_max", [result.p_axis[-1]]),
         f"# n {result.values.shape[0]}",
-        "# levels " + " ".join(f"{v:.17g}" for v in result.levels),
+        ("# levels", result.levels),
     ]
-    for row in result.values:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, head, result.values)

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import _write_text
+
 MODEL_FILE_MAGIC = "wignernet model v1"
 
 BN_MOMENTUM = 0.99
@@ -310,7 +312,7 @@ class Adam:
     def __init__(
         self,
         params: list[np.ndarray],
-        learning_rate: float = 0.0005,
+        learning_rate: float,
         beta1: float = 0.9,
         beta2: float = 0.999,
         epsilon: float = 1e-7,
@@ -381,39 +383,36 @@ def grad_check(
     return worst
 
 
-def _write_vector(fh, name: str, vec: np.ndarray) -> None:
-    fh.write(f"{name} " + " ".join(f"{v:.17g}" for v in vec) + "\n")
-
-
 def save_model(model: MlpModel, path) -> None:
     """Self-describing text container; 17 significant digits round-trip floats."""
+    _write_text(path, _model_lines(model))
+
+
+def _model_lines(model: MlpModel):
     spec = model.spec
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(MODEL_FILE_MAGIC + "\n")
-        fh.write(f"input_dim {spec.input_dim}\n")
-        fh.write("hidden_dims " + " ".join(str(d) for d in spec.hidden_dims) + "\n")
-        fh.write(f"output_dim {spec.output_dim}\n")
-        fh.write(f"batchnorm {int(spec.batchnorm)}\n")
-        fh.write(f"init_seed {model.init_seed}\n")
-        for i, (dense, bn) in enumerate(model.blocks):
-            fh.write(f"block {i} dense {dense.weights.shape[0]} {dense.weights.shape[1]}\n")
-            for row in dense.weights:
-                _write_vector(fh, "w", row)
-            _write_vector(fh, "b", dense.bias)
-            if bn is not None:
-                fh.write(f"block {i} batchnorm {bn.width}\n")
-                fh.write(f"momentum {bn.momentum:.17g}\n")
-                fh.write(f"epsilon {bn.epsilon:.17g}\n")
-                _write_vector(fh, "gamma", bn.gamma)
-                _write_vector(fh, "beta", bn.beta)
-                _write_vector(fh, "running_mean", bn.running_mean)
-                _write_vector(fh, "running_var", bn.running_var)
-        fh.write(f"output dense {model.output_layer.weights.shape[0]} "
-                 f"{model.output_layer.weights.shape[1]}\n")
-        for row in model.output_layer.weights:
-            _write_vector(fh, "w", row)
-        _write_vector(fh, "b", model.output_layer.bias)
-        fh.write("end\n")
+    yield MODEL_FILE_MAGIC
+    yield f"input_dim {spec.input_dim}"
+    yield "hidden_dims " + " ".join(str(d) for d in spec.hidden_dims)
+    yield f"output_dim {spec.output_dim}"
+    yield f"batchnorm {int(spec.batchnorm)}"
+    yield f"init_seed {model.init_seed}"
+    for i, (dense, bn) in enumerate(model.blocks):
+        yield f"block {i} dense {dense.weights.shape[0]} {dense.weights.shape[1]}"
+        yield from (("w", row) for row in dense.weights)
+        yield ("b", dense.bias)
+        if bn is not None:
+            yield f"block {i} batchnorm {bn.width}"
+            yield ("momentum", [bn.momentum])
+            yield ("epsilon", [bn.epsilon])
+            yield ("gamma", bn.gamma)
+            yield ("beta", bn.beta)
+            yield ("running_mean", bn.running_mean)
+            yield ("running_var", bn.running_var)
+    out = model.output_layer
+    yield f"output dense {out.weights.shape[0]} {out.weights.shape[1]}"
+    yield from (("w", row) for row in out.weights)
+    yield ("b", out.bias)
+    yield "end"
 
 
 class _LineReader:

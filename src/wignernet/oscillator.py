@@ -18,9 +18,8 @@ and the position variance evolves as
 with sigma_p0 = hbar / (2 sigma_x0) and sigma_p(t) = m omega sigma_x(t).
 
 The variance expression above is not positive for every input; evaluation
-takes sqrt(|sigma_x(t)^2|) and flags the sign flip (see evolve_widths) rather
-than failing.  A fixed-step RK4 integrator of the classical equations of
-motion is provided as an independent cross-check of the mean evolution.
+takes sqrt(|sigma_x(t)^2|) and flags the sign flip (see evolve_batch) rather
+than failing.  A single state is evaluated as a one-row batch.
 
 Everything here is a pure function of its arguments (thread-safe), computed
 in 64-bit floating point, with m = omega = 1 style dimensionless units.
@@ -51,35 +50,6 @@ class OscillatorConfig:
 
 
 @dataclass
-class InitialState:
-    """Initial Gaussian packet: center (x0, p0), position width sigma_x0, and hbar."""
-
-    x0: float
-    p0: float
-    sigma_x0: float
-    hbar: float
-
-    def __post_init__(self):
-        if not self.sigma_x0 > 0:
-            raise ValueError(f"sigma_x0 must be positive, got {self.sigma_x0}")
-        if not self.hbar > 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
-
-
-@dataclass
-class EvolvedState:
-    """Packet parameters after evolution: center (xt, pt) and widths."""
-
-    xt: float
-    pt: float
-    sigma_xt: float
-    sigma_pt: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.xt, self.pt, self.sigma_xt, self.sigma_pt])
-
-
-@dataclass
 class GaussianWigner:
     """Separable Gaussian Wigner function on phase space.
 
@@ -104,51 +74,6 @@ class GaussianWigner:
             raise ValueError(f"sigma_p must be positive, got {self.sigma_p}")
         if not self.hbar > 0:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
-
-
-def sigma_p0(state: InitialState) -> float:
-    """Initial momentum width hbar / (2 sigma_x0) of a minimum-uncertainty packet."""
-    return state.hbar / (2.0 * state.sigma_x0)
-
-
-def evolve_mean(cfg: OscillatorConfig, state: InitialState) -> tuple[float, float]:
-    """Packet center at time t: an exact rotation in (x, p/(m omega)) coordinates."""
-    c = np.cos(cfg.omega * cfg.t)
-    s = np.sin(cfg.omega * cfg.t)
-    xt = state.x0 * c + (state.p0 / (cfg.m * cfg.omega)) * s
-    pt = state.p0 * c - cfg.m * cfg.omega * state.x0 * s
-    return float(xt), float(pt)
-
-
-def evolve_widths(cfg: OscillatorConfig, state: InitialState) -> tuple[float, float, bool]:
-    """Packet widths at time t.
-
-    Returns (sigma_xt, sigma_pt, clamped).  The variance formula can produce
-    a negative value; sigma_xt is then sqrt of the absolute value and
-    `clamped` is True so callers can count how often the flip happened.
-    sigma_pt is m omega sigma_xt.
-    """
-    m, w, t = cfg.m, cfg.omega, cfg.t
-    sp0 = sigma_p0(state)
-    c = np.cos(w * t)
-    s = np.sin(w * t)
-    var = (
-        state.sigma_x0**2 * c**2
-        + (sp0**2 / (m**2 * w**2)) * s**2
-        + (state.hbar / (2.0 * m * w))
-        * np.sin(2.0 * w * t)
-        * (sp0 / (m * w * state.sigma_x0) - m * w * state.sigma_x0 / sp0)
-    )
-    clamped = bool(var < 0.0)
-    sigma_xt = float(np.sqrt(np.abs(var)))
-    return sigma_xt, m * w * sigma_xt, clamped
-
-
-def evolve(cfg: OscillatorConfig, state: InitialState) -> EvolvedState:
-    """Full closed-form evolution of the four packet parameters."""
-    xt, pt = evolve_mean(cfg, state)
-    sigma_xt, sigma_pt, _ = evolve_widths(cfg, state)
-    return EvolvedState(xt=xt, pt=pt, sigma_xt=sigma_xt, sigma_pt=sigma_pt)
 
 
 def evolve_batch(cfg: OscillatorConfig, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -226,33 +151,3 @@ def wigner_grid(
     p_axis = np.linspace(p_min, p_max, n)
     values = wigner_value(w, x_axis[np.newaxis, :], p_axis[:, np.newaxis])
     return values, x_axis, p_axis
-
-
-def classical_rk4(cfg: OscillatorConfig, x0, p0, steps: int):
-    """Fixed-step RK4 integration of xdot = p/m, pdot = -m omega^2 x over [0, t].
-
-    Independent of the closed-form solution; global error falls off as
-    steps^-4.  x0 and p0 may be scalars or equal-length arrays (the whole
-    batch is integrated in lockstep).
-    """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    x = np.asarray(x0, dtype=np.float64).copy()
-    p = np.asarray(p0, dtype=np.float64).copy()
-    scalar = x.ndim == 0
-    m, w2 = cfg.m, cfg.omega**2
-    h = cfg.t / steps
-    for _ in range(steps):
-        k1x = p / m
-        k1p = -m * w2 * x
-        k2x = (p + 0.5 * h * k1p) / m
-        k2p = -m * w2 * (x + 0.5 * h * k1x)
-        k3x = (p + 0.5 * h * k2p) / m
-        k3p = -m * w2 * (x + 0.5 * h * k2x)
-        k4x = (p + h * k3p) / m
-        k4p = -m * w2 * (x + h * k3x)
-        x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        p = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-    if scalar:
-        return float(x), float(p)
-    return x, p

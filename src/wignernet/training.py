@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, SplitIndices
+from .data import Dataset, SplitIndices, _write_text
+from .experiments import Predictor
 from .network import Adam, MlpModel, backward, mse_loss
 
 
@@ -63,12 +64,12 @@ class TrainReport:
     per_output_test_mse: np.ndarray = field(default_factory=lambda: np.full(4, np.nan))
 
 
-def evaluate(model: MlpModel, dataset: Dataset, indices) -> tuple[float, np.ndarray]:
-    """Inference-mode MSE over the given rows: total and per output column."""
+def evaluate(predict: Predictor, dataset: Dataset, indices) -> tuple[float, np.ndarray]:
+    """MSE of predict over the given rows: total and per output column."""
     indices = np.asarray(indices, dtype=np.int64)
     if indices.size == 0:
         raise ValueError("cannot evaluate on an empty index list")
-    preds = model.forward(dataset.inputs[indices])
+    preds = predict(dataset.inputs[indices])
     per_output = np.mean((preds - dataset.targets[indices]) ** 2, axis=0)
     return float(per_output.mean()), per_output
 
@@ -140,28 +141,24 @@ def train(
     report.final_train_loss = report.train_loss_per_epoch[-1]
 
     if splits.test is not None and np.asarray(splits.test).size > 0:
-        report.test_loss, report.per_output_test_mse = evaluate(model, dataset, splits.test)
+        report.test_loss, report.per_output_test_mse = evaluate(model.forward, dataset, splits.test)
     return model, report
 
 
 def save_report(report: TrainReport, csv_path: str | os.PathLike, summary_path: str | os.PathLike) -> None:
     """Write the loss history CSV and a short human-readable summary."""
-    lines = ["epoch,train_loss,val_loss"]
-    for epoch, (tr, va) in enumerate(
-        zip(report.train_loss_per_epoch, report.val_loss_per_epoch), start=1
-    ):
-        lines.append(f"{epoch},{tr:.17g},{va:.17g}")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-    per_output = " ".join(f"{v:.17g}" for v in report.per_output_test_mse)
+    history = zip(
+        range(1, len(report.train_loss_per_epoch) + 1),
+        report.train_loss_per_epoch,
+        report.val_loss_per_epoch,
+    )
+    _write_text(csv_path, ["epoch,train_loss,val_loss"], history)
     summary = [
         f"stopped_epoch {report.stopped_epoch}",
         f"best_epoch {report.best_epoch}",
-        f"final_train_loss {report.final_train_loss:.17g}",
-        f"final_val_loss {report.final_val_loss:.17g}",
-        f"test_loss {report.test_loss:.17g}",
-        f"per_output_test_mse {per_output}",
+        ("final_train_loss", [report.final_train_loss]),
+        ("final_val_loss", [report.final_val_loss]),
+        ("test_loss", [report.test_loss]),
+        ("per_output_test_mse", report.per_output_test_mse),
     ]
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(summary) + "\n")
+    _write_text(summary_path, summary)

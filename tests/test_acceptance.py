@@ -18,6 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from rk4 import classical_rk4
 from wignernet.cli import main
 from wignernet.data import load_dataset, sample_inputs, SamplingRanges, split_indices
 from wignernet.experiments import PhaseSpaceSpec, phase_space_grids, oracle_predictor
@@ -31,7 +32,6 @@ from wignernet.network import (
 from wignernet.oscillator import (
     GaussianWigner,
     OscillatorConfig,
-    classical_rk4,
     evolve_batch,
     wigner_grid,
 )

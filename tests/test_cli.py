@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wignernet.cli import main
+from wignernet.cli import default_config, main
 from wignernet.data import load_dataset, load_splits
 from wignernet.network import ArchitectureSpec, init_model, save_model
 
@@ -32,6 +33,13 @@ def small_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+class TestConfig:
+    def test_readme_json_block_is_the_default_config(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        assert json.loads(block) == default_config()
 
 
 class TestGenerate:
@@ -110,12 +118,13 @@ class TestEval:
         assert np.isfinite(mse)
         assert len(per_output) == 4
 
-    def test_input_dimension_mismatch_fails(self, tmp_path):
+    def test_input_dimension_mismatch_fails(self, tmp_path, capsys):
         cfg = small_config(tmp_path)
         assert run("generate", "--config", cfg) == 0
         bad = init_model(ArchitectureSpec(input_dim=3, hidden_dims=(8,), output_dim=4), 0)
         save_model(bad, tmp_path / "bad_model.txt")
         assert run("eval", "--config", cfg, "--model", tmp_path / "bad_model.txt") != 0
+        assert "shape (B, 3)" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -205,6 +205,22 @@ class TestDatasetRoundTrip:
         with pytest.raises(DatasetFormatError, match="line 10"):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "lineno, column, value",
+        [(11, 5, "nan"), (12, 0, "inf")],  # a target cell, an input cell
+    )
+    def test_non_finite_cell_names_line(self, tmp_path, lineno, column, value):
+        ds = self.make_dataset()
+        path = tmp_path / "ds.csv"
+        save_dataset(ds, path)
+        lines = path.read_text().splitlines()
+        cells = lines[lineno - 1].split(",")
+        cells[column] = value
+        lines[lineno - 1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError, match=f"line {lineno}: non-finite"):
+            load_dataset(path)
+
     def test_empty_file_raises_distinct_error(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -251,4 +267,12 @@ class TestSplitRoundTrip:
         path = tmp_path / "splits.csv"
         path.write_text("0,train\n")
         with pytest.raises(DatasetFormatError):
+            load_splits(path)
+
+    @pytest.mark.parametrize("row", ["0,test", "999,train"])  # repeated, out of range
+    def test_index_out_of_sequence_names_line(self, tmp_path, row):
+        path = tmp_path / "splits.csv"
+        save_splits(split_indices(10, seed=0), path)
+        path.write_text(path.read_text() + row + "\n")
+        with pytest.raises(DatasetFormatError, match="line 12: expected index 10"):
             load_splits(path)

@@ -211,7 +211,7 @@ class TestAdam:
 
     def test_zero_gradient_is_a_noop(self):
         theta = np.array([0.7, -0.2])
-        opt = Adam([theta])
+        opt = Adam([theta], learning_rate=0.0005)
         opt.step([theta], [np.zeros(2)])
         assert np.array_equal(theta, [0.7, -0.2])
 
@@ -227,7 +227,7 @@ class TestAdam:
 
     def test_shape_mismatch_rejected(self):
         theta = np.array([1.0])
-        opt = Adam([theta])
+        opt = Adam([theta], learning_rate=0.0005)
         with pytest.raises(ValueError):
             opt.step([theta], [np.zeros(2)])
 
@@ -253,7 +253,9 @@ class TestSerialization:
         for _ in range(3):  # move parameters and running stats off their defaults
             x, y = random_batch(rng, b=16)
             out, cache = model.forward_train(x)
-            Adam(model.parameters()).step(model.parameters(), backward(model, cache, y))
+            Adam(model.parameters(), learning_rate=0.0005).step(
+                model.parameters(), backward(model, cache, y)
+            )
         return model
 
     def test_round_trip_preserves_inference(self, tmp_path):

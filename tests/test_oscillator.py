@@ -7,22 +7,17 @@ import math
 import numpy as np
 import pytest
 
+from rk4 import classical_rk4
 from wignernet.oscillator import (
     GaussianWigner,
-    InitialState,
     OscillatorConfig,
-    classical_rk4,
-    evolve,
     evolve_batch,
-    evolve_mean,
-    evolve_widths,
-    sigma_p0,
     wigner_grid,
     wigner_value,
 )
 
 CFG = OscillatorConfig(m=1.0, omega=1.0, t=5.0)
-PROBE = InitialState(x0=1.0, p0=0.0, sigma_x0=1.0, hbar=1.0)
+PROBE = (1.0, 0.0, 1.0, 1.0)  # (x0, p0, sigma_x0, hbar)
 
 # Frozen float64 evaluations of the closed-form expressions at the probe point,
 # cross-checked against RK4 integration below.
@@ -32,12 +27,19 @@ VAR_AT_5 = 0.7183640097633577  # cos^2(5) + 0.25 sin^2(5) - 0.75 sin(10)
 SIGMA_X_AT_5 = 0.8475635726972683  # sqrt of the above
 
 
+def evolve_one(cfg, x0, p0, sigma_x0, hbar):
+    """One state as a one-row batch: its (xt, pt, sigma_xt, sigma_pt) row and clamp flag."""
+    targets, clamped = evolve_batch(cfg, np.array([[x0, p0, sigma_x0, hbar]]))
+    return targets[0], bool(clamped[0])
+
+
 def random_states(rng, n):
+    """(n, 4) matrix of (x0, p0, sigma_x0, hbar) rows over the stock ranges."""
     x0 = rng.uniform(-5, 5, n)
     p0 = rng.uniform(-5, 5, n)
     sigma = rng.uniform(0.5, 2.0, n)
     hbar = 10.0 ** rng.uniform(-6, 0, n)
-    return [InitialState(*row) for row in zip(x0, p0, sigma, hbar)]
+    return np.column_stack([x0, p0, sigma, hbar])
 
 
 class TestDomainTypes:
@@ -55,9 +57,9 @@ class TestDomainTypes:
 
     def test_state_rejects_bad_width_and_hbar(self):
         with pytest.raises(ValueError):
-            InitialState(0.0, 0.0, 0.0, 1.0)
+            evolve_one(CFG, 0.0, 0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
-            InitialState(0.0, 0.0, 1.0, 0.0)
+            evolve_one(CFG, 0.0, 0.0, 1.0, 0.0)
 
     def test_wigner_rejects_nonpositive_parameters(self):
         for bad in [dict(sigma_x=0.0), dict(sigma_p=-1.0), dict(hbar=0.0)]:
@@ -73,30 +75,37 @@ class TestDomainTypes:
 
 
 class TestSigmaP0:
+    """sigma_p0 = hbar / (2 sigma_x0).  After a quarter period the position
+    width is sigma_p0 / (m omega), so with m = omega = 1 the evolved momentum
+    width m omega sigma_x(T/4) equals sigma_p0."""
+
+    QUARTER = OscillatorConfig(t=math.pi / 2.0)
+
     def test_unit_case(self):
-        assert sigma_p0(InitialState(0, 0, 1.0, 1.0)) == pytest.approx(0.5)
+        assert evolve_one(self.QUARTER, 0, 0, 1.0, 1.0)[0][3] == pytest.approx(0.5)
 
     def test_half_width(self):
-        assert sigma_p0(InitialState(0, 0, 0.5, 1.0)) == pytest.approx(1.0)
+        assert evolve_one(self.QUARTER, 0, 0, 0.5, 1.0)[0][3] == pytest.approx(1.0)
 
     def test_linear_in_hbar(self):
-        assert sigma_p0(InitialState(0, 0, 1.0, 0.01)) == pytest.approx(0.005)
+        assert evolve_one(self.QUARTER, 0, 0, 1.0, 0.01)[0][3] == pytest.approx(0.005)
 
 
 class TestEvolveMean:
     def test_identity_at_t_zero(self):
         cfg = OscillatorConfig(t=0.0)
         for state in random_states(np.random.default_rng(0), 20):
-            assert evolve_mean(cfg, state) == (state.x0, state.p0)
+            out, _ = evolve_one(cfg, *state)
+            assert (out[0], out[1]) == (state[0], state[1])
 
     def test_probe_point(self):
-        xt, pt = evolve_mean(CFG, PROBE)
+        (xt, pt, _, _), _ = evolve_one(CFG, *PROBE)
         assert xt == pytest.approx(X_AT_5, abs=1e-12)
         assert pt == pytest.approx(P_AT_5, abs=1e-12)
 
     def test_full_period_return(self):
         cfg = OscillatorConfig(t=2.0 * math.pi)
-        xt, pt = evolve_mean(cfg, PROBE)
+        (xt, pt, _, _), _ = evolve_one(cfg, *PROBE)
         assert xt == pytest.approx(1.0, abs=1e-12)
         assert pt == pytest.approx(0.0, abs=1e-12)
 
@@ -107,25 +116,24 @@ class TestEvolveMean:
             cfg = OscillatorConfig(
                 m=rng.uniform(0.5, 2.0), omega=rng.uniform(0.5, 2.0), t=rng.uniform(0, 20)
             )
-            state = random_states(rng, 1)[0]
-            xt, pt = evolve_mean(cfg, state)
+            x0, p0, sigma_x0, hbar = random_states(rng, 1)[0]
+            (xt, pt, _, _), _ = evolve_one(cfg, x0, p0, sigma_x0, hbar)
             mw = cfg.m * cfg.omega
-            before = state.x0**2 + (state.p0 / mw) ** 2
+            before = x0**2 + (p0 / mw) ** 2
             after = xt**2 + (pt / mw) ** 2
             assert after == pytest.approx(before, rel=1e-9, abs=1e-12)
 
 
 class TestEvolveWidths:
     def test_probe_point(self):
-        sigma_xt, sigma_pt, clamped = evolve_widths(CFG, PROBE)
+        (_, _, sigma_xt, sigma_pt), clamped = evolve_one(CFG, *PROBE)
         assert sigma_xt == pytest.approx(SIGMA_X_AT_5, abs=1e-12)
         assert sigma_pt == pytest.approx(SIGMA_X_AT_5, abs=1e-12)
         assert not clamped
 
     def test_widths_at_t_zero(self):
         cfg = OscillatorConfig(m=1.7, omega=0.8, t=0.0)
-        state = InitialState(0.3, -0.4, 1.2, 0.05)
-        sigma_xt, sigma_pt, clamped = evolve_widths(cfg, state)
+        (_, _, sigma_xt, sigma_pt), clamped = evolve_one(cfg, 0.3, -0.4, 1.2, 0.05)
         assert sigma_xt == pytest.approx(1.2, rel=1e-14)
         assert sigma_pt == pytest.approx(1.7 * 0.8 * 1.2, rel=1e-14)
         assert not clamped
@@ -138,16 +146,18 @@ class TestEvolveWidths:
             hbar = 10.0 ** rng.uniform(-6, 0)
             cfg = OscillatorConfig(m=m, omega=w, t=rng.uniform(0, 20))
             coherent = math.sqrt(hbar / (2.0 * m * w))
-            state = InitialState(0.0, 0.0, coherent, hbar)
-            sigma_xt, _, _ = evolve_widths(cfg, state)
+            (_, _, sigma_xt, _), _ = evolve_one(cfg, 0.0, 0.0, coherent, hbar)
             assert sigma_xt == pytest.approx(coherent, rel=1e-9)
 
     def test_negative_variance_is_clamped_and_flagged(self):
         # At t = pi/4 and sigma_x0 = hbar = 1 the variance formula gives -0.125.
         cfg = OscillatorConfig(t=math.pi / 4.0)
-        sigma_xt, _, clamped = evolve_widths(cfg, InitialState(0, 0, 1.0, 1.0))
+        (_, _, sigma_xt, _), clamped = evolve_one(cfg, 0, 0, 1.0, 1.0)
         assert clamped
         assert sigma_xt == pytest.approx(math.sqrt(0.125), rel=1e-12)
+        # At t = 5 over the stock ranges the variance stays positive.
+        _, clamped = evolve_batch(CFG, random_states(np.random.default_rng(5), 50))
+        assert not clamped.any()
 
     def test_momentum_width_ratio_is_m_omega(self):
         rng = np.random.default_rng(3)
@@ -155,29 +165,25 @@ class TestEvolveWidths:
             cfg = OscillatorConfig(
                 m=rng.uniform(0.5, 2.0), omega=rng.uniform(0.5, 2.0), t=rng.uniform(0, 20)
             )
-            state = random_states(rng, 1)[0]
-            sigma_xt, sigma_pt, _ = evolve_widths(cfg, state)
+            (_, _, sigma_xt, sigma_pt), _ = evolve_one(cfg, *random_states(rng, 1)[0])
             assert sigma_pt / sigma_xt == pytest.approx(cfg.m * cfg.omega, rel=1e-12)
 
 
 class TestEvolve:
     def test_probe_point_composition(self):
-        out = evolve(CFG, PROBE)
-        assert np.allclose(
-            out.as_array(), [X_AT_5, P_AT_5, SIGMA_X_AT_5, SIGMA_X_AT_5], atol=1e-12
-        )
+        out, _ = evolve_one(CFG, *PROBE)
+        assert np.allclose(out, [X_AT_5, P_AT_5, SIGMA_X_AT_5, SIGMA_X_AT_5], atol=1e-12)
 
     def test_t_zero_returns_initial_parameters(self):
         cfg = OscillatorConfig(m=2.0, omega=0.5, t=0.0)
-        state = InitialState(0.7, -1.1, 0.9, 0.2)
-        out = evolve(cfg, state)
-        assert np.allclose(out.as_array(), [0.7, -1.1, 0.9, 2.0 * 0.5 * 0.9], rtol=1e-14)
+        out, _ = evolve_one(cfg, 0.7, -1.1, 0.9, 0.2)
+        assert np.allclose(out, [0.7, -1.1, 0.9, 2.0 * 0.5 * 0.9], rtol=1e-14)
 
     def test_origin_is_fixed_point_of_means(self):
-        out = evolve(CFG, InitialState(0.0, 0.0, 1.0, 1.0))
-        assert out.xt == 0.0
-        assert out.pt == 0.0
-        assert out.sigma_xt > 0
+        (xt, pt, sigma_xt, _), _ = evolve_one(CFG, 0.0, 0.0, 1.0, 1.0)
+        assert xt == 0.0
+        assert pt == 0.0
+        assert sigma_xt > 0
 
     def test_periodicity(self):
         """Evolving for t and t + 2 pi / omega gives the same state."""
@@ -185,21 +191,12 @@ class TestEvolve:
         for _ in range(50):
             m, w, t = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0), rng.uniform(0, 10)
             state = random_states(rng, 1)[0]
-            a = evolve(OscillatorConfig(m=m, omega=w, t=t), state)
-            b = evolve(OscillatorConfig(m=m, omega=w, t=t + 2.0 * math.pi / w), state)
-            assert np.allclose(a.as_array(), b.as_array(), atol=1e-9)
+            a, _ = evolve_one(OscillatorConfig(m=m, omega=w, t=t), *state)
+            b, _ = evolve_one(OscillatorConfig(m=m, omega=w, t=t + 2.0 * math.pi / w), *state)
+            assert np.allclose(a, b, atol=1e-9)
 
 
 class TestEvolveBatch:
-    def test_matches_scalar_evolve(self):
-        rng = np.random.default_rng(5)
-        states = random_states(rng, 50)
-        inputs = np.array([[s.x0, s.p0, s.sigma_x0, s.hbar] for s in states])
-        targets, clamped = evolve_batch(CFG, inputs)
-        for i, s in enumerate(states):
-            assert np.allclose(targets[i], evolve(CFG, s).as_array(), rtol=1e-14)
-        assert not clamped.any()  # at t=5 with these ranges the variance stays positive
-
     def test_reports_offending_row(self):
         inputs = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, -1.0, 1.0]])
         with pytest.raises(ValueError, match="row 1"):
@@ -276,14 +273,15 @@ class TestWignerGrid:
 
     def test_argmax_is_node_nearest_evolved_center(self):
         """100-point grid over [-10,10]^2 peaks at the node closest to (x(t), p(t))."""
-        out = evolve(CFG, PROBE)
-        w = GaussianWigner(out.xt, out.pt, out.sigma_xt, out.sigma_pt, PROBE.hbar)
+        (xt, pt, sigma_xt, sigma_pt), _ = evolve_one(CFG, *PROBE)
+        hbar = PROBE[3]
+        w = GaussianWigner(xt, pt, sigma_xt, sigma_pt, hbar)
         vals, xs, ps = wigner_grid(w, -10, 10, -10, 10, 100)
         i, j = np.unravel_index(np.argmax(vals), vals.shape)
-        assert j == np.argmin(np.abs(xs - out.xt))
-        assert i == np.argmin(np.abs(ps - out.pt))
+        assert j == np.argmin(np.abs(xs - xt))
+        assert i == np.argmin(np.abs(ps - pt))
         # Grid-node peak sits within one cell of the true center, so within 2%.
-        assert vals[i, j] == pytest.approx(1.0 / (math.pi * PROBE.hbar), rel=0.02)
+        assert vals[i, j] == pytest.approx(1.0 / (math.pi * hbar), rel=0.02)
 
     def test_argmax_nearest_center_random(self):
         rng = np.random.default_rng(8)
@@ -308,20 +306,19 @@ class TestWignerGrid:
 
     def test_momentum_marginal_is_position_gaussian(self):
         """Summing over p (times dp) gives the 1-D position density at min uncertainty."""
-        state = InitialState(0.4, -0.7, 1.1, 0.8)
-        sp = sigma_p0(state)
-        w = GaussianWigner(state.x0, state.p0, state.sigma_x0, sp, state.hbar)
+        x0, p0, sigma_x0, hbar = 0.4, -0.7, 1.1, 0.8
+        w = GaussianWigner(x0, p0, sigma_x0, hbar / (2.0 * sigma_x0), hbar)
         vals, xs, ps = wigner_grid(
             w,
-            state.x0 - 8 * w.sigma_x,
-            state.x0 + 8 * w.sigma_x,
-            state.p0 - 8 * w.sigma_p,
-            state.p0 + 8 * w.sigma_p,
+            x0 - 8 * w.sigma_x,
+            x0 + 8 * w.sigma_x,
+            p0 - 8 * w.sigma_p,
+            p0 + 8 * w.sigma_p,
             500,
         )
         dp = ps[1] - ps[0]
         marginal = vals.sum(axis=0) * dp
-        expected = np.exp(-((xs - state.x0) ** 2) / (2 * w.sigma_x**2)) / math.sqrt(
+        expected = np.exp(-((xs - x0) ** 2) / (2 * w.sigma_x**2)) / math.sqrt(
             2 * math.pi * w.sigma_x**2
         )
         assert np.max(np.abs(marginal - expected)) < 1e-6

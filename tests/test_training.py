@@ -201,7 +201,7 @@ class TestEvaluate:
         inputs = np.random.default_rng(0).normal(size=(30, 4))
         targets = np.tile([1.0, -2.0, 0.5, 3.0], (30, 1))
         ds = synthetic_dataset(inputs, targets)
-        total, per_output = evaluate(model, ds, np.arange(30))
+        total, per_output = evaluate(model.forward, ds, np.arange(30))
         assert total == 0.0
         assert np.array_equal(per_output, np.zeros(4))
 
@@ -214,7 +214,7 @@ class TestEvaluate:
         model.output_layer.bias[...] = 0.0
         rng = np.random.default_rng(1)
         ds = synthetic_dataset(rng.normal(size=(50, 4)), rng.normal(size=(50, 4)))
-        total, per_output = evaluate(model, ds, np.arange(50))
+        total, per_output = evaluate(model.forward, ds, np.arange(50))
         moments = np.mean(ds.targets**2, axis=0)
         assert np.allclose(per_output, moments, rtol=1e-12)
         assert total == pytest.approx(moments.mean(), rel=1e-12)
@@ -224,15 +224,15 @@ class TestEvaluate:
         rng = np.random.default_rng(2)
         ds = synthetic_dataset(rng.normal(size=(40, 4)), rng.normal(size=(40, 4)))
         idx = np.arange(40)
-        total_a, per_a = evaluate(model, ds, idx)
-        total_b, per_b = evaluate(model, ds, rng.permutation(idx))
+        total_a, per_a = evaluate(model.forward, ds, idx)
+        total_b, per_b = evaluate(model.forward, ds, rng.permutation(idx))
         assert total_a == pytest.approx(total_b, rel=1e-12)
         assert np.allclose(per_a, per_b, rtol=1e-12)
 
     def test_empty_index_list_rejected(self):
         ds = affine_dataset(n=20)
         with pytest.raises(ValueError):
-            evaluate(tiny_model(), ds, np.array([], dtype=int))
+            evaluate(tiny_model().forward, ds, np.array([], dtype=int))
 
 
 class TestSaveReport:
