@@ -39,7 +39,6 @@ from .network import (
     ModelShapeError,
     ModelVersionError,
     backward,
-    grad_check,
     init_model,
     load_model,
     mse_loss,

@@ -215,6 +215,16 @@ def _resolve_predictor(args, rc: RunConfig):
     return load_model(args.model or rc.out_dir / MODEL_FILE).forward
 
 
+def _load_data(args, rc: RunConfig):
+    """The dataset and its split file, which must cover exactly its rows."""
+    ds = load_dataset(args.dataset or rc.out_dir / DATASET_FILE)
+    splits = load_splits(args.splits or rc.out_dir / SPLITS_FILE)
+    n_split = splits.train.size + splits.validation.size + splits.test.size
+    if n_split != ds.n_rows:
+        raise ValueError(f"split file has {n_split} rows, dataset has {ds.n_rows}")
+    return ds, splits
+
+
 def cmd_generate(args) -> int:
     rc = _load_run_config(args)
     n = args.n if args.n is not None else rc.n_samples
@@ -240,8 +250,7 @@ def cmd_generate(args) -> int:
 
 def cmd_train(args) -> int:
     rc = _load_run_config(args)
-    ds = load_dataset(args.dataset or rc.out_dir / DATASET_FILE)
-    splits = load_splits(args.splits or rc.out_dir / SPLITS_FILE)
+    ds, splits = _load_data(args, rc)
 
     tc = rc.train_config
     if args.max_epochs is not None:
@@ -272,8 +281,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     rc = _load_run_config(args)
-    ds = load_dataset(args.dataset or rc.out_dir / DATASET_FILE)
-    splits = load_splits(args.splits or rc.out_dir / SPLITS_FILE)
+    ds, splits = _load_data(args, rc)
     total, per_output = evaluate(_resolve_predictor(args, rc), ds, splits.test)
 
     head = [

@@ -10,14 +10,19 @@ the biased variance while training and running statistics at inference:
             running <- momentum * running + (1 - momentum) * batch_stat
     infer:  y = gamma * (x - running_mean) / sqrt(running_var + eps) + beta
 
-The backward pass differentiates through the batch statistics, so analytic
-gradients agree with central finite differences to rounding error; see
-grad_check.  All math is float64.
+An MlpModel keeps its state in one float64 vector, `state`, laid out as
+[parameters | running statistics]: per block the dense weights (row-major),
+bias, and with batchnorm gamma and beta; the output weights and bias; then
+running_mean and running_var per batchnorm block.  Every layer tensor is a
+view into it; `params` is the parameter part.  backward() returns the exact
+gradient (differentiated through the batch statistics) in the layout of
+`params`, as a view of a model-owned buffer that the next call overwrites.
+All math is float64.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,35 +98,47 @@ class BatchNormLayer:
 
     def forward_train(self, x: np.ndarray, update_running: bool = True):
         """Normalize with batch statistics; returns (y, cache for backward)."""
-        mean = x.mean(axis=0)
-        var = x.var(axis=0)  # biased, consistent with the backward pass
+        # np.add.reduce: the column sums of ndarray.mean and np.sum, minus their Python layer.
+        batch = x.shape[0]
+        mean = np.add.reduce(x, 0) / batch
+        xhat = x - mean
+        y = xhat * xhat  # y serves as scratch until the output is written into it
+        var = np.add.reduce(y, 0) / batch  # biased, consistent with the backward pass
         inv_std = 1.0 / np.sqrt(var + self.epsilon)
-        xhat = (x - mean) * inv_std
+        xhat *= inv_std
         if update_running:
-            self.running_mean = self.momentum * self.running_mean + (1.0 - self.momentum) * mean
-            self.running_var = self.momentum * self.running_var + (1.0 - self.momentum) * var
-        return self.gamma * xhat + self.beta, (xhat, inv_std)
+            for running, stat in ((self.running_mean, mean), (self.running_var, var)):
+                running *= self.momentum
+                running += (1.0 - self.momentum) * stat
+        np.multiply(xhat, self.gamma, out=y)
+        y += self.beta
+        return y, (xhat, inv_std)
 
     def forward_infer(self, x: np.ndarray) -> np.ndarray:
         """Normalize with the frozen running statistics (pure function)."""
         inv_std = 1.0 / np.sqrt(self.running_var + self.epsilon)
         return self.gamma * (x - self.running_mean) * inv_std + self.beta
 
-    def backward(self, dy: np.ndarray, cache) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Gradients through the batch-statistic normalization.
-
-        Returns (dx, dgamma, dbeta) including the dependence of the batch
-        mean and variance on every row.
+    def backward(self, dy: np.ndarray, cache, dgamma: np.ndarray, dbeta: np.ndarray) -> np.ndarray:
+        """Gradients through the batch-statistic normalization: writes dgamma
+        and dbeta and returns dx, through the batch mean and variance of every row.
         """
         xhat, inv_std = cache
         batch = dy.shape[0]
-        dgamma = np.sum(dy * xhat, axis=0)
-        dbeta = np.sum(dy, axis=0)
-        dxhat = dy * self.gamma
-        dx = (inv_std / batch) * (
-            batch * dxhat - np.sum(dxhat, axis=0) - xhat * np.sum(dxhat * xhat, axis=0)
-        )
-        return dx, dgamma, dbeta
+        scratch = dy * xhat
+        np.add.reduce(scratch, 0, out=dgamma)
+        np.add.reduce(dy, 0, out=dbeta)
+        # dx = (inv_std / batch) * (batch * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)),
+        # evaluated in that order, with dxhat = dy * gamma.
+        dx = dy * self.gamma
+        dxhat_sum = np.add.reduce(dx, 0)
+        np.multiply(dx, xhat, out=scratch)
+        np.multiply(xhat, np.add.reduce(scratch, 0), out=scratch)
+        dx *= batch
+        dx -= dxhat_sum
+        dx -= scratch
+        dx *= inv_std / batch
+        return dx
 
 
 @dataclass
@@ -129,7 +146,7 @@ class ForwardCache:
     """Intermediates of one train-mode forward pass, consumed by backward()."""
 
     block_inputs: list[np.ndarray]
-    pre_activations: list[np.ndarray]
+    relu_masks: list[np.ndarray]  # 1.0 where the pre-activation is positive, else 0.0
     bn_caches: list[tuple | None]
     final_input: np.ndarray
     output: np.ndarray
@@ -138,8 +155,10 @@ class ForwardCache:
 class MlpModel:
     """Dense/ReLU/batchnorm stack with architecture metadata.
 
-    Train-mode forwards mutate running statistics and must be serialized by
-    the caller; infer-mode forwards are read-only and thread-safe.
+    The constructor copies every layer tensor into `state` and rebinds the
+    layers' attributes to views into it.  Train-mode forwards mutate running
+    statistics and must be serialized by the caller; infer-mode forwards are
+    read-only and thread-safe.
     """
 
     def __init__(
@@ -154,6 +173,18 @@ class MlpModel:
         self.output_layer = output_layer
         self.init_seed = init_seed
         self._check_dims()
+        params, stats = self._slots()
+        tensors = [getattr(*slot) for slot in params + stats]
+        self.state = np.concatenate([t.ravel() for t in tensors])
+        self.params = self.state[: sum(t.size for t in tensors[: len(params)])]
+        self.grad = np.zeros_like(self.params)
+        self._grads = {}  # (layer, attribute) -> its block of self.grad, for backward()
+        offset = 0
+        for slot, t in zip(params + stats, tensors):
+            setattr(*slot, self.state[offset : offset + t.size].reshape(t.shape))
+            if offset < self.grad.size:
+                self._grads[slot] = self.grad[offset : offset + t.size].reshape(t.shape)
+            offset += t.size
 
     def _check_dims(self):
         dims = (self.spec.input_dim, *self.spec.hidden_dims, self.spec.output_dim)
@@ -173,6 +204,17 @@ class MlpModel:
                 raise ModelShapeError(
                     f"batchnorm {i} has width {bn.width}, expected {dims[i + 1]}"
                 )
+
+    def _slots(self) -> tuple[list[tuple[object, str]], list[tuple[object, str]]]:
+        """(layer, attribute) of every parameter and running statistic, in state order."""
+        params, stats = [], []
+        for dense, bn in self.blocks:
+            params += [(dense, "weights"), (dense, "bias")]
+            if bn is not None:
+                params += [(bn, "gamma"), (bn, "beta")]
+                stats += [(bn, "running_mean"), (bn, "running_var")]
+        params += [(self.output_layer, "weights"), (self.output_layer, "bias")]
+        return params, stats
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Inference pass: running statistics, no state change."""
@@ -202,47 +244,35 @@ class MlpModel:
             raise ValueError(
                 f"train-mode batch must have >= 2 rows with batchnorm, got {x.shape[0]}"
             )
-        block_inputs, pre_activations, bn_caches = [], [], []
+        block_inputs, relu_masks, bn_caches = [], [], []
         for dense, bn in self.blocks:
             block_inputs.append(x)
             z = dense.forward(x)
-            pre_activations.append(z)
-            x = np.maximum(z, 0.0)
+            relu_masks.append(np.greater(z, 0.0, out=np.empty_like(z)))
+            x = np.maximum(z, 0.0, out=z)
+            cache = None
             if bn is not None:
                 x, cache = bn.forward_train(x, update_running=update_running)
-                bn_caches.append(cache)
-            else:
-                bn_caches.append(None)
+            bn_caches.append(cache)
         out = self.output_layer.forward(x)
-        return out, ForwardCache(block_inputs, pre_activations, bn_caches, x, out)
+        return out, ForwardCache(block_inputs, relu_masks, bn_caches, x, out)
 
     def parameters(self) -> list[np.ndarray]:
-        """Trainable tensors, in a fixed order shared with backward()."""
-        params = []
-        for dense, bn in self.blocks:
-            params.extend([dense.weights, dense.bias])
-            if bn is not None:
-                params.extend([bn.gamma, bn.beta])
-        params.extend([self.output_layer.weights, self.output_layer.bias])
-        return params
+        """Trainable tensors, as views into params in its order."""
+        return [getattr(*slot) for slot in self._slots()[0]]
 
     def state_arrays(self) -> list[np.ndarray]:
-        """Parameters plus batchnorm running statistics (full mutable state)."""
-        arrays = self.parameters()
-        for _, bn in self.blocks:
-            if bn is not None:
-                arrays.extend([bn.running_mean, bn.running_var])
-        return arrays
+        """Parameters plus batchnorm running statistics, as views into state."""
+        params, stats = self._slots()
+        return [getattr(*slot) for slot in params + stats]
 
-    def snapshot(self) -> list[np.ndarray]:
-        return [a.copy() for a in self.state_arrays()]
+    def snapshot(self) -> np.ndarray:
+        return self.state.copy()
 
-    def restore(self, snap: list[np.ndarray]) -> None:
-        arrays = self.state_arrays()
-        if len(snap) != len(arrays):
-            raise ValueError(f"snapshot holds {len(snap)} tensors, expected {len(arrays)}")
-        for a, s in zip(arrays, snap):
-            a[...] = s
+    def restore(self, snap: np.ndarray) -> None:
+        if snap.shape != self.state.shape:
+            raise ValueError(f"snapshot has shape {snap.shape}, expected {self.state.shape}")
+        self.state[...] = snap
 
 
 def init_model(spec: ArchitectureSpec, seed: int) -> MlpModel:
@@ -272,8 +302,9 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean((pred - target) ** 2))
 
 
-def backward(model: MlpModel, cache: ForwardCache, target: np.ndarray) -> list[np.ndarray]:
-    """Exact gradients of mse_loss w.r.t. every tensor in model.parameters()."""
+def backward(model: MlpModel, cache: ForwardCache, target: np.ndarray) -> np.ndarray:
+    """Exact gradient of mse_loss w.r.t. model.params, returned as model.grad,
+    which the next call overwrites."""
     target = np.asarray(target, dtype=np.float64)
     if target.shape != cache.output.shape:
         raise ValueError(
@@ -281,37 +312,31 @@ def backward(model: MlpModel, cache: ForwardCache, target: np.ndarray) -> list[n
         )
     g = 2.0 * (cache.output - target) / cache.output.size
 
-    out_w_grad = g.T @ cache.final_input
-    out_b_grad = g.sum(axis=0)
-    g = g @ model.output_layer.weights
+    grads = model._grads
+    out = model.output_layer
+    np.matmul(g.T, cache.final_input, out=grads[out, "weights"])
+    np.add.reduce(g, 0, out=grads[out, "bias"])
+    g = g @ out.weights
 
-    block_grads: list[list[np.ndarray]] = []
     for i in range(len(model.blocks) - 1, -1, -1):
         dense, bn = model.blocks[i]
         if bn is not None:
-            g, dgamma, dbeta = bn.backward(g, cache.bn_caches[i])
-        g = g * (cache.pre_activations[i] > 0.0)
-        dw = g.T @ cache.block_inputs[i]
-        db = g.sum(axis=0)
-        g = g @ dense.weights
-        grads = [dw, db]
-        if bn is not None:
-            grads.extend([dgamma, dbeta])
-        block_grads.append(grads)
-
-    flat: list[np.ndarray] = []
-    for grads in reversed(block_grads):
-        flat.extend(grads)
-    flat.extend([out_w_grad, out_b_grad])
-    return flat
+            g = bn.backward(g, cache.bn_caches[i], grads[bn, "gamma"], grads[bn, "beta"])
+        g *= cache.relu_masks[i]
+        np.matmul(g.T, cache.block_inputs[i], out=grads[dense, "weights"])
+        np.add.reduce(g, 0, out=grads[dense, "bias"])
+        if i:  # block 0's input gradient would be the data's
+            g = g @ dense.weights
+    return model.grad
 
 
 class Adam:
-    """Adam with bias correction; epsilon is added outside the square root."""
+    """Adam with bias correction over one parameter array; epsilon is added
+    outside the square root."""
 
     def __init__(
         self,
-        params: list[np.ndarray],
+        params: np.ndarray,
         learning_rate: float,
         beta1: float = 0.9,
         beta2: float = 0.999,
@@ -322,65 +347,38 @@ class Adam:
         self.beta2 = beta2
         self.epsilon = epsilon
         self.step_count = 0
-        self.first_moment = [np.zeros_like(p) for p in params]
-        self.second_moment = [np.zeros_like(p) for p in params]
+        self.first_moment = np.zeros_like(params)
+        self.second_moment = np.zeros_like(params)
+        self._scratch = (np.empty_like(params), np.empty_like(params))
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        """One update, in place, over all parameter tensors."""
-        if len(params) != len(self.first_moment) or len(grads) != len(params):
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """One update of params, in place."""
+        if params.shape != self.first_moment.shape or grads.shape != params.shape:
             raise ValueError(
-                f"expected {len(self.first_moment)} tensors, got "
-                f"{len(params)} params and {len(grads)} grads"
+                f"expected shape {self.first_moment.shape}, got {params.shape} and {grads.shape}"
             )
         self.step_count += 1
         bc1 = 1.0 - self.beta1**self.step_count
         bc2 = 1.0 - self.beta2**self.step_count
-        for p, g, m, v in zip(params, grads, self.first_moment, self.second_moment):
-            if p.shape != g.shape:
-                raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
+        m, v = self.first_moment, self.second_moment
+        s, t = self._scratch
+        m *= self.beta1
+        m += np.multiply(grads, 1.0 - self.beta1, out=s)
+        v *= self.beta2
+        np.multiply(grads, grads, out=s)
+        s *= 1.0 - self.beta2
+        v += s
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in that order.
+        np.divide(m, bc1, out=s)
+        s *= self.learning_rate
+        np.sqrt(np.divide(v, bc2, out=t), out=t)
+        t += self.epsilon
+        s /= t
+        params -= s
 
 
-def grad_check(
-    model: MlpModel,
-    batch: np.ndarray,
-    target: np.ndarray,
-    epsilon_fd: float = 1e-4,
-) -> float:
-    """Max relative disagreement between analytic and central-difference gradients.
-
-    Runs one backward pass, then perturbs every parameter entry by
-    +/- epsilon_fd with running-statistic updates suppressed so repeated
-    forwards see identical state.  Entries where both gradients are below
-    1e-12 (dead ReLU paths) are skipped.  Intended for small models: the
-    cost is two forwards per parameter.
-    """
-    batch = np.asarray(batch, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    _, cache = model.forward_train(batch, update_running=False)
-    analytic = backward(model, cache, target)
-
-    worst = 0.0
-    for param, grad in zip(model.parameters(), analytic):
-        flat_p = param.reshape(-1)
-        flat_g = grad.reshape(-1)
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            flat_p[i] = orig + epsilon_fd
-            up, _ = model.forward_train(batch, update_running=False)
-            flat_p[i] = orig - epsilon_fd
-            down, _ = model.forward_train(batch, update_running=False)
-            flat_p[i] = orig
-            numeric = (mse_loss(up, target) - mse_loss(down, target)) / (2.0 * epsilon_fd)
-            if abs(flat_g[i]) < 1e-12 and abs(numeric) < 1e-12:
-                continue
-            rel = abs(flat_g[i] - numeric) / max(abs(flat_g[i]), abs(numeric), 1e-8)
-            worst = max(worst, rel)
-    return worst
+# Per-feature batchnorm vectors, in the order a model file lists them.
+_BN_VECTORS = ("gamma", "beta", "running_mean", "running_var")
 
 
 def save_model(model: MlpModel, path) -> None:
@@ -404,10 +402,7 @@ def _model_lines(model: MlpModel):
             yield f"block {i} batchnorm {bn.width}"
             yield ("momentum", [bn.momentum])
             yield ("epsilon", [bn.epsilon])
-            yield ("gamma", bn.gamma)
-            yield ("beta", bn.beta)
-            yield ("running_mean", bn.running_mean)
-            yield ("running_var", bn.running_var)
+            yield from ((name, getattr(bn, name)) for name in _BN_VECTORS)
     out = model.output_layer
     yield f"output dense {out.weights.shape[0]} {out.weights.shape[1]}"
     yield from (("w", row) for row in out.weights)
@@ -507,10 +502,8 @@ def load_model(path) -> MlpModel:
                 momentum=reader.next_scalar("momentum"),
                 epsilon=reader.next_scalar("epsilon"),
             )
-            bn.gamma = reader.next_vector("gamma", width)
-            bn.beta = reader.next_vector("beta", width)
-            bn.running_mean = reader.next_vector("running_mean", width)
-            bn.running_var = reader.next_vector("running_var", width)
+            for name in _BN_VECTORS:
+                setattr(bn, name, reader.next_vector(name, width))
         blocks.append((dense, bn))
     output_layer = read_dense("output", -1)
     if reader.next() != "end":

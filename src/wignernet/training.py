@@ -91,8 +91,7 @@ def train(
         )
 
     rng = np.random.default_rng(config.shuffle_seed)
-    params = model.parameters()  # stable array objects, updated in place
-    adam = Adam(params, learning_rate=config.learning_rate)
+    adam = Adam(model.params, learning_rate=config.learning_rate)
     report = TrainReport()
 
     best_val = np.inf
@@ -112,7 +111,7 @@ def train(
             if not np.isfinite(loss):
                 raise NonFiniteLossError(loss, epoch, batch_index)
             grads = backward(model, cache, dataset.targets[batch])
-            adam.step(params, grads)
+            adam.step(model.params, grads)
             loss_sum += loss * batch.size
             rows_seen += batch.size
 

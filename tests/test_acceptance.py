@@ -18,13 +18,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from gradcheck import grad_check
 from rk4 import classical_rk4
 from wignernet.cli import main
 from wignernet.data import load_dataset, sample_inputs, SamplingRanges, split_indices
 from wignernet.experiments import PhaseSpaceSpec, phase_space_grids, oracle_predictor
 from wignernet.network import (
     ArchitectureSpec,
-    grad_check,
     init_model,
     load_model,
     save_model,

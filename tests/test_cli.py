@@ -127,6 +127,26 @@ class TestEval:
         assert "shape (B, 3)" in capsys.readouterr().err
 
 
+class TestSplitCoverage:
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("dataset_rows, split_rows", [(100, 300), (300, 100)])
+    def test_split_file_must_cover_the_dataset(
+        self, tmp_path, capsys, command, dataset_rows, split_rows
+    ):
+        """A split file for another dataset size fails and names both row counts."""
+        cfg = small_config(tmp_path)
+        for n in (dataset_rows, split_rows):
+            assert run("generate", "--config", cfg, "--out-dir", tmp_path / f"n{n}", "--n", n) == 0
+        data_dir = tmp_path / f"n{dataset_rows}"
+        if command == "eval":
+            assert run("train", "--config", cfg, "--out-dir", data_dir, "--max-epochs", 1) == 0
+        capsys.readouterr()
+        splits = tmp_path / f"n{split_rows}" / "splits.csv"
+        assert run(command, "--config", cfg, "--out-dir", data_dir, "--splits", splits) != 0
+        err = capsys.readouterr().err
+        assert f"split file has {split_rows} rows, dataset has {dataset_rows}" in err
+
+
 class TestSweep:
     def test_oracle_sweep_is_exact(self, tmp_path, capsys):
         cfg = small_config(tmp_path)

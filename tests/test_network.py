@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from gradcheck import grad_check
 from wignernet.network import (
     Adam,
     ArchitectureSpec,
@@ -17,7 +18,6 @@ from wignernet.network import (
     ModelShapeError,
     ModelVersionError,
     backward,
-    grad_check,
     init_model,
     load_model,
     mse_loss,
@@ -31,6 +31,12 @@ def small_spec(hidden=(8,), batchnorm=True):
 
 def random_batch(rng, b=16):
     return rng.normal(size=(b, 4)), rng.normal(size=(b, 4))
+
+
+def per_tensor(flat, like):
+    """Split a flat vector into arrays shaped like the tensors in `like`."""
+    ends = np.cumsum([t.size for t in like])
+    return [part.reshape(t.shape) for part, t in zip(np.split(flat, ends[:-1]), like)]
 
 
 class TestInitModel:
@@ -145,7 +151,7 @@ class TestBackward:
         x, _ = random_batch(rng)
         out, cache = model.forward_train(x, update_running=False)
         grads = backward(model, cache, out.copy())
-        for g in grads:
+        for g in per_tensor(grads, model.parameters()):
             assert np.allclose(g, 0.0, atol=1e-15)
 
     def test_linear_model_matches_closed_form(self):
@@ -154,7 +160,7 @@ class TestBackward:
         model = init_model(small_spec(hidden=(), batchnorm=False), seed=6)
         x, y = random_batch(rng, b=10)
         out, cache = model.forward_train(x)
-        grads = backward(model, cache, y)
+        grads = per_tensor(backward(model, cache, y), model.parameters())
         err = out - y
         scale = 2.0 / err.size
         assert np.allclose(grads[0], scale * err.T @ x, rtol=1e-12)
@@ -164,8 +170,10 @@ class TestBackward:
         model = init_model(small_spec(hidden=(8, 6)), seed=7)
         x, y = random_batch(np.random.default_rng(7))
         _, cache = model.forward_train(x)
-        grads = backward(model, cache, y)
+        flat = backward(model, cache, y)
         params = model.parameters()
+        assert flat.shape == model.params.shape == (sum(p.size for p in params),)
+        grads = per_tensor(flat, params)
         assert len(grads) == len(params)
         for g, p in zip(grads, params):
             assert g.shape == p.shape
@@ -203,33 +211,33 @@ class TestAdam:
         lr, eps = 0.0005, 1e-7
         theta = np.array([1.0])
         grad = np.array([0.3])
-        opt = Adam([theta], learning_rate=lr, epsilon=eps)
-        opt.step([theta], [grad])
+        opt = Adam(theta, learning_rate=lr, epsilon=eps)
+        opt.step(theta, grad)
         expected_delta = lr * 0.3 / (0.3 + eps)  # bias correction gives mhat=g, vhat=g^2
         assert theta[0] == pytest.approx(1.0 - expected_delta, rel=1e-12)
         assert opt.step_count == 1
 
     def test_zero_gradient_is_a_noop(self):
         theta = np.array([0.7, -0.2])
-        opt = Adam([theta], learning_rate=0.0005)
-        opt.step([theta], [np.zeros(2)])
+        opt = Adam(theta, learning_rate=0.0005)
+        opt.step(theta, np.zeros(2))
         assert np.array_equal(theta, [0.7, -0.2])
 
     def test_identical_inputs_give_identical_outputs(self):
         def run():
             theta = np.array([[0.5, -1.0], [2.0, 0.0]])
-            opt = Adam([theta], learning_rate=0.01)
+            opt = Adam(theta, learning_rate=0.01)
             for _ in range(5):
-                opt.step([theta], [np.array([[0.1, -0.2], [0.3, 0.4]])])
+                opt.step(theta, np.array([[0.1, -0.2], [0.3, 0.4]]))
             return theta
 
         assert np.array_equal(run(), run())
 
     def test_shape_mismatch_rejected(self):
         theta = np.array([1.0])
-        opt = Adam([theta], learning_rate=0.0005)
+        opt = Adam(theta, learning_rate=0.0005)
         with pytest.raises(ValueError):
-            opt.step([theta], [np.zeros(2)])
+            opt.step(theta, np.zeros(2))
 
     def test_single_step_decreases_loss(self):
         """A small-lr Adam step strictly reduces the loss on a fixed batch."""
@@ -240,10 +248,106 @@ class TestAdam:
             out, cache = model.forward_train(x, update_running=False)
             before = mse_loss(out, y)
             grads = backward(model, cache, y)
-            assert any(np.any(g != 0) for g in grads)  # not an all-dead start
-            Adam(model.parameters(), learning_rate=1e-5).step(model.parameters(), grads)
+            assert np.any(grads != 0)  # not an all-dead start
+            Adam(model.params, learning_rate=1e-5).step(model.params, grads)
             after, _ = model.forward_train(x, update_running=False)
             assert mse_loss(after, y) < before
+
+
+def reference_step(model, x, y, moments, step_count, lr):
+    """One training step written the way the per-tensor implementation did it:
+    batchnorm statistics from x.var(), gradients as a list of fresh arrays,
+    and a per-tensor Adam loop.  moments holds one (m, v) pair per tensor."""
+    block_inputs, pre_activations, bn_caches = [], [], []
+    for dense, bn in model.blocks:
+        block_inputs.append(x)
+        z = x @ dense.weights.T + dense.bias
+        pre_activations.append(z)
+        x = np.maximum(z, 0.0)
+        mean = x.mean(axis=0)
+        var = x.var(axis=0)
+        inv_std = 1.0 / np.sqrt(var + bn.epsilon)
+        xhat = (x - mean) * inv_std
+        bn.running_mean[...] = bn.momentum * bn.running_mean + (1.0 - bn.momentum) * mean
+        bn.running_var[...] = bn.momentum * bn.running_var + (1.0 - bn.momentum) * var
+        x = bn.gamma * xhat + bn.beta
+        bn_caches.append((xhat, inv_std))
+    out_layer = model.output_layer
+    out = x @ out_layer.weights.T + out_layer.bias
+
+    g = 2.0 * (out - y) / out.size
+    grads = [g.T @ x, g.sum(axis=0)]
+    g = g @ out_layer.weights
+    for i in range(len(model.blocks) - 1, -1, -1):
+        dense, bn = model.blocks[i]
+        xhat, inv_std = bn_caches[i]
+        batch = g.shape[0]
+        dgamma = np.sum(g * xhat, axis=0)
+        dbeta = np.sum(g, axis=0)
+        dxhat = g * bn.gamma
+        g = (inv_std / batch) * (
+            batch * dxhat - np.sum(dxhat, axis=0) - xhat * np.sum(dxhat * xhat, axis=0)
+        )
+        g = g * (pre_activations[i] > 0.0)
+        grads[:0] = [g.T @ block_inputs[i], g.sum(axis=0), dgamma, dbeta]
+        g = g @ dense.weights
+
+    beta1, beta2, eps = 0.9, 0.999, 1e-7
+    bc1 = 1.0 - beta1**step_count
+    bc2 = 1.0 - beta2**step_count
+    for p, g, (m, v) in zip(model.parameters(), grads, moments):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+class TestFlatState:
+    def test_training_steps_match_the_per_tensor_reference_bit_for_bit(self):
+        """Six steps of forward_train/backward/Adam.step on the flat state equal
+        the per-tensor reference in every parameter, moment and running stat."""
+        lr = 0.01
+        model = init_model(small_spec(hidden=(8, 6)), seed=11)
+        reference = init_model(small_spec(hidden=(8, 6)), seed=11)
+        moments = [(np.zeros_like(p), np.zeros_like(p)) for p in reference.parameters()]
+        adam = Adam(model.params, learning_rate=lr)
+        rng = np.random.default_rng(11)
+        for step in range(1, 7):
+            x, y = random_batch(rng, b=16)
+            out, cache = model.forward_train(x)
+            adam.step(model.params, backward(model, cache, y))
+            reference_step(reference, x, y, moments, step, lr)
+            for a, b in zip(model.state_arrays(), reference.state_arrays()):
+                assert np.array_equal(a, b), f"step {step}"
+            assert np.array_equal(adam.first_moment, np.concatenate([m.ravel() for m, _ in moments]))
+            assert np.array_equal(adam.second_moment, np.concatenate([v.ravel() for _, v in moments]))
+
+    @pytest.mark.parametrize("source", ["init_model", "load_model"])
+    def test_layer_tensors_are_views_into_the_state(self, source, tmp_path):
+        model = init_model(small_spec(hidden=(8, 6)), seed=12)
+        if source == "load_model":
+            save_model(model, tmp_path / "model.txt")
+            model = load_model(tmp_path / "model.txt")
+        dense, bn = model.blocks[0]
+        weights, gamma = dense.weights, bn.gamma
+        weights_before, gamma_before = weights.copy(), gamma.copy()
+        before = model.snapshot()
+        saved = [a.copy() for a in model.state_arrays()]
+
+        x, y = random_batch(np.random.default_rng(12))
+        _, cache = model.forward_train(x)
+        Adam(model.params, learning_rate=0.01).step(model.params, backward(model, cache, y))
+        assert dense.weights is weights and bn.gamma is gamma
+        assert np.shares_memory(weights, model.params) and np.shares_memory(gamma, model.params)
+        assert not np.array_equal(weights, weights_before)
+        assert not np.array_equal(gamma, gamma_before)
+        assert not np.array_equal(bn.running_mean, np.zeros(8))
+
+        model.restore(before)
+        for a, b in zip(model.state_arrays(), saved):
+            assert np.array_equal(a, b)
+        assert dense.weights is weights
 
 
 class TestSerialization:
@@ -253,9 +357,7 @@ class TestSerialization:
         for _ in range(3):  # move parameters and running stats off their defaults
             x, y = random_batch(rng, b=16)
             out, cache = model.forward_train(x)
-            Adam(model.parameters(), learning_rate=0.0005).step(
-                model.parameters(), backward(model, cache, y)
-            )
+            Adam(model.params, learning_rate=0.0005).step(model.params, backward(model, cache, y))
         return model
 
     def test_round_trip_preserves_inference(self, tmp_path):
