@@ -308,7 +308,7 @@ def cmd_sweep(args) -> int:
 
     result = hbar_sweep(predict, rc.sweep_spec)
     save_sweep(result, rc.out_dir / SWEEP_FILE)
-    report = convergence_report(predict, rc.sweep_spec, trained_range)
+    report = convergence_report(predict, rc.sweep_spec, result, trained_range)
 
     print(f"wrote {rc.out_dir / SWEEP_FILE} ({result.hbar.size} rows)")
     print(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
@@ -23,6 +24,12 @@ from .oscillator import OscillatorConfig, evolve_batch
 
 CSV_HEADER = "x0,p0,sigma_x0,hbar,xt,pt,sigma_xt,sigma_pt"
 SPLIT_HEADER = "index,split"
+_SPLIT_LABELS = ("train", "val", "test")
+
+# A dataset file's `#` metadata lines, in order: these OscillatorConfig
+# fields, the seed, then these SamplingRanges fields.
+_CONFIG_KEYS = ("m", "omega", "t")
+_RANGE_KEYS = ("x0_range", "p0_range", "sigma_x0_range", "hbar_log10_range")
 
 
 class DatasetFormatError(ValueError):
@@ -55,6 +62,83 @@ def _write_text(path: str | os.PathLike, head, rows=()) -> None:
             fh.write(",".join(digits(row)) + "\n")
 
 
+class _TextReader:
+    """Reads a file written by _write_text back, line by line in the written order.
+
+    Head lines are `label v1 v2 ...`; floats must be finite and integers
+    whole.  Every failure raises the reader's error class, or the one a call
+    names, with the path and the 1-based line.
+    """
+
+    def __init__(self, path: str | os.PathLike, error: type[ValueError]):
+        with open(path, "r", encoding="utf-8") as fh:
+            self.lines = fh.read().splitlines()
+        self.path = path
+        self.error = error
+        self.pos = 0  # lines read so far
+
+    def fail(self, message: str, lineno: int | None = None, error=None) -> NoReturn:
+        """Raise for line `lineno`, by default the last line read."""
+        raise (error or self.error)(f"{self.path}: line {lineno or self.pos}: {message}")
+
+    def line(self, expected: str | None = None, error=None) -> str:
+        """The next line, which must equal `expected` when one is given."""
+        if self.pos == len(self.lines):
+            self.fail("unexpected end of file", self.pos + 1)
+        self.pos += 1
+        line = self.lines[self.pos - 1]
+        if expected is not None and line != expected:
+            self.fail(f"expected {expected!r}, got {line!r}", error=error)
+        return line
+
+    def values(self, label: str, count: int | None = None, kind=float, error=None) -> np.ndarray:
+        """The values of the next line, `label v1 v2 ...`: exactly `count` of
+        them when a count is given, or `error` is raised."""
+        line = self.line()
+        if line != label and not line.startswith(label + " "):
+            self.fail(f"expected a {label!r} line, got {line[:40]!r}")
+        tokens = line[len(label) :].split()
+        if count is not None and len(tokens) != count:
+            self.fail(f"expected {count} values after {label!r}, got {len(tokens)}", error=error)
+        return self._parse(tokens, kind)
+
+    def value(self, label: str, kind=float):
+        """The one value of the next line, `label v`."""
+        return self.values(label, 1, kind).item()
+
+    def rows(self, width: int, kind=float) -> np.ndarray:
+        """The remaining lines, as an (n, width) array of their comma-separated
+        values: finite floats, or with kind=object the cells' text."""
+        first = self.pos + 1
+        cells = [line.split(",") for line in self.lines[self.pos :]]
+        self.pos = len(self.lines)
+        try:  # one conversion for the whole body; a failure is then found line by line
+            data = np.array(cells, dtype=kind).reshape(len(cells), width)
+            if kind is not float or np.isfinite(data).all():
+                return data
+        except ValueError:
+            pass
+        for lineno, row in enumerate(cells, first):
+            if len(row) != width:
+                self.fail(f"expected {width} comma-separated values, got {len(row)}", lineno)
+            self._parse(row, kind, lineno)
+        raise AssertionError("unreachable: a row failed to parse")
+
+    def done(self) -> None:
+        """Fail unless every line has been read."""
+        if self.pos < len(self.lines):
+            self.fail(f"unexpected line {self.lines[self.pos][:40]!r}", self.pos + 1)
+
+    def _parse(self, tokens: list[str], kind, lineno: int | None = None) -> np.ndarray:
+        try:  # ints through Python, so that a seed of any size reads back exactly
+            parsed = np.array([int(t) for t in tokens]) if kind is int else np.array(tokens, kind)
+        except ValueError as exc:  # the message names the value
+            self.fail(str(exc), lineno)
+        if kind is float and not np.isfinite(parsed).all():
+            self.fail("non-finite value", lineno)
+        return parsed
+
+
 @dataclass
 class SamplingRanges:
     """Closed sampling intervals for each input column; hbar is given in log10."""
@@ -65,7 +149,7 @@ class SamplingRanges:
     hbar_log10_range: tuple[float, float] = (-6.0, 0.0)
 
     def __post_init__(self):
-        for name in ("x0_range", "p0_range", "sigma_x0_range", "hbar_log10_range"):
+        for name in _RANGE_KEYS:
             lo, hi = getattr(self, name)
             if not lo <= hi:
                 raise ValueError(f"{name} must satisfy min <= max, got ({lo}, {hi})")
@@ -157,14 +241,9 @@ def split_indices(n: int, seed: int) -> SplitIndices:
 def save_dataset(ds: Dataset, path: str | os.PathLike) -> None:
     """Write the dataset CSV: a `#`-prefixed metadata block, header, then rows."""
     head = [
-        ("# m", [ds.config.m]),
-        ("# omega", [ds.config.omega]),
-        ("# t", [ds.config.t]),
+        *((f"# {key}", [getattr(ds.config, key)]) for key in _CONFIG_KEYS),
         f"# seed {ds.seed}",
-        ("# x0_range", ds.ranges.x0_range),
-        ("# p0_range", ds.ranges.p0_range),
-        ("# sigma_x0_range", ds.ranges.sigma_x0_range),
-        ("# hbar_log10_range", ds.ranges.hbar_log10_range),
+        *((f"# {key}", getattr(ds.ranges, key)) for key in _RANGE_KEYS),
         CSV_HEADER,
     ]
     _write_text(path, head, np.hstack([ds.inputs, ds.targets]))
@@ -177,83 +256,25 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
     no data rows raises EmptyDatasetError.  The clamp flags are recomputed
     from the stored inputs (the oracle is pure, so this is exact).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.read().splitlines()
-
-    meta: dict[str, list[float]] = {}
-    header_line = None
-    data_start = None
-    for lineno, line in enumerate(raw_lines, start=1):
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            parts = line[1:].split()
-            if len(parts) < 2:
-                raise DatasetFormatError(f"line {lineno}: malformed metadata line {line!r}")
-            try:
-                meta[parts[0]] = [float(v) for v in parts[1:]]
-            except ValueError as exc:
-                raise DatasetFormatError(f"line {lineno}: non-numeric metadata in {line!r}") from exc
-            continue
-        header_line = (lineno, line)
-        data_start = lineno + 1
-        break
-
-    if header_line is None:
-        raise EmptyDatasetError(f"{path}: empty dataset (no header found)")
-    if header_line[1].strip() != CSV_HEADER:
-        raise DatasetFormatError(
-            f"line {header_line[0]}: expected header {CSV_HEADER!r}, got {header_line[1]!r}"
-        )
-    required = ("m", "omega", "t", "seed", "x0_range", "p0_range", "sigma_x0_range", "hbar_log10_range")
-    missing = [key for key in required if key not in meta]
-    if missing:
-        raise DatasetFormatError(f"{path}: metadata block is missing {', '.join(missing)}")
-
-    rows, linenos = [], []
-    for lineno, line in enumerate(raw_lines[data_start - 1 :], start=data_start):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != 8:
-            raise DatasetFormatError(f"line {lineno}: expected 8 columns, found {len(cells)}")
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise DatasetFormatError(f"line {lineno}: non-numeric value in {line!r}") from exc
-        linenos.append(lineno)
-
-    if not rows:
-        raise EmptyDatasetError(f"{path}: empty dataset (no data rows)")
-
-    data = np.array(rows, dtype=np.float64)
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        lineno = linenos[int(np.argmin(finite))]
-        raise DatasetFormatError(f"line {lineno}: non-finite value in {raw_lines[lineno - 1]!r}")
-    cfg = OscillatorConfig(m=meta["m"][0], omega=meta["omega"][0], t=meta["t"][0])
-    ranges = SamplingRanges(
-        x0_range=tuple(meta["x0_range"]),
-        p0_range=tuple(meta["p0_range"]),
-        sigma_x0_range=tuple(meta["sigma_x0_range"]),
-        hbar_log10_range=tuple(meta["hbar_log10_range"]),
-    )
+    reader = _TextReader(path, DatasetFormatError)
+    if len(reader.lines) <= len(_CONFIG_KEYS) + len(_RANGE_KEYS) + 2:  # + seed and CSV_HEADER
+        raise EmptyDatasetError(f"{path}: line {len(reader.lines) + 1}: no data rows")
+    cfg = OscillatorConfig(**{k: reader.value(f"# {k}") for k in _CONFIG_KEYS})
+    seed = reader.value("# seed", int)
+    ranges = SamplingRanges(**{k: tuple(reader.values(f"# {k}", 2).tolist()) for k in _RANGE_KEYS})
+    reader.line(CSV_HEADER)
+    data = reader.rows(8)
     inputs = data[:, :4]
     _, clamped = evolve_batch(cfg, inputs)
     return Dataset(
-        inputs=inputs,
-        targets=data[:, 4:],
-        config=cfg,
-        seed=int(meta["seed"][0]),
-        ranges=ranges,
-        clamped=clamped,
+        inputs=inputs, targets=data[:, 4:], config=cfg, seed=seed, ranges=ranges, clamped=clamped
     )
 
 
 def save_splits(splits: SplitIndices, path: str | os.PathLike) -> None:
     """Write the split CSV (`index,split`), one row per dataset row, by index."""
     labels = {}
-    for name, idx in (("train", splits.train), ("val", splits.validation), ("test", splits.test)):
+    for name, idx in zip(_SPLIT_LABELS, (splits.train, splits.validation, splits.test)):
         for i in idx:
             labels[int(i)] = name
     _write_text(path, [SPLIT_HEADER, *(f"{i},{labels[i]}" for i in sorted(labels))])
@@ -265,28 +286,14 @@ def load_splits(path: str | os.PathLike) -> SplitIndices:
     Rows must list the indices 0, 1, 2, ... in order, one each, so that no
     row can sit in two splits; any other index is reported with its line.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.read().splitlines()
-    if not raw_lines or raw_lines[0].strip() != SPLIT_HEADER:
-        raise DatasetFormatError(f"{path}: expected header {SPLIT_HEADER!r}")
-    buckets: dict[str, list[int]] = {"train": [], "val": [], "test": []}
-    expected = 0
-    for lineno, line in enumerate(raw_lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != 2 or cells[1] not in buckets:
-            raise DatasetFormatError(f"line {lineno}: malformed split row {line!r}")
-        try:
-            index = int(cells[0])
-        except ValueError as exc:
-            raise DatasetFormatError(f"line {lineno}: non-integer index in {line!r}") from exc
-        if index != expected:
-            raise DatasetFormatError(f"line {lineno}: expected index {expected}, got {index}")
-        buckets[cells[1]].append(index)
-        expected += 1
-    return SplitIndices(
-        train=np.array(buckets["train"], dtype=np.int64),
-        validation=np.array(buckets["val"], dtype=np.int64),
-        test=np.array(buckets["test"], dtype=np.int64),
-    )
+    reader = _TextReader(path, DatasetFormatError)
+    reader.line(SPLIT_HEADER)
+    index, label = reader.rows(2, object).T  # the cells' text
+    members = [label == name for name in _SPLIT_LABELS]
+    bad = (index != [str(k) for k in range(index.size)]) | ~np.any(members, axis=0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        got = reader.lines[k + 1]
+        reader.fail(f"expected index {k} and a split in {_SPLIT_LABELS}, got {got!r}", k + 2)
+    train, val, test = (np.flatnonzero(m) for m in members)
+    return SplitIndices(train=train, validation=val, test=test)

@@ -214,9 +214,11 @@ def phase_space_grids(predict: Predictor, spec: PhaseSpaceSpec) -> list[PhaseSpa
 def convergence_report(
     predict: Predictor,
     spec: SweepSpec,
+    sweep: SweepResult,
     trained_hbar_log10_range: tuple[float, float],
 ) -> ConvergenceReport:
-    """Summary metrics of a sweep against the trained hbar range.
+    """Summary metrics of `sweep`, the result of hbar_sweep(predict, spec),
+    against the trained hbar range.
 
     In-range rows (trained range is inclusive) contribute max/median relative
     error; degenerate rows are excluded.  The extrapolation flag probes ten
@@ -227,8 +229,6 @@ def convergence_report(
     """
     lo, hi = trained_hbar_log10_range
     hbar_min, hbar_max = 10.0**lo, 10.0**hi
-    sweep = hbar_sweep(predict, spec)
-
     in_range = (sweep.hbar >= hbar_min) & (sweep.hbar <= hbar_max) & np.isfinite(sweep.rel_err)
     if np.any(in_range):
         max_rel = float(np.max(sweep.rel_err[in_range]))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _write_text
+from .data import _TextReader, _write_text
 
 MODEL_FILE_MAGIC = "wignernet model v1"
 
@@ -216,13 +216,16 @@ class MlpModel:
         params += [(self.output_layer, "weights"), (self.output_layer, "bias")]
         return params, stats
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Inference pass: running statistics, no state change."""
+    def _batch(self, x) -> np.ndarray:
+        """x as a float64 batch of shape (B, input_dim)."""
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.spec.input_dim:
-            raise ValueError(
-                f"batch must have shape (B, {self.spec.input_dim}), got {x.shape}"
-            )
+            raise ValueError(f"batch must have shape (B, {self.spec.input_dim}), got {x.shape}")
+        return x
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Inference pass: running statistics, no state change."""
+        x = self._batch(x)
         for dense, bn in self.blocks:
             x = np.maximum(dense.forward(x), 0.0)
             if bn is not None:
@@ -235,11 +238,7 @@ class MlpModel:
         Batches of a single row are rejected when batchnorm is present:
         the batch variance of one sample is degenerate.
         """
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.spec.input_dim:
-            raise ValueError(
-                f"batch must have shape (B, {self.spec.input_dim}), got {x.shape}"
-            )
+        x = self._batch(x)
         if x.shape[0] < 2 and any(bn is not None for _, bn in self.blocks):
             raise ValueError(
                 f"train-mode batch must have >= 2 rows with batchnorm, got {x.shape[0]}"
@@ -410,102 +409,46 @@ def _model_lines(model: MlpModel):
     yield "end"
 
 
-class _LineReader:
-    def __init__(self, lines: list[str], path):
-        self.lines = lines
-        self.pos = 0
-        self.path = path
-
-    def next(self) -> str:
-        if self.pos >= len(self.lines):
-            raise ModelFormatError(f"{self.path}: unexpected end of file at line {self.pos + 1}")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    def next_vector(self, tag: str, length: int) -> np.ndarray:
-        lineno = self.pos + 1
-        parts = self.next().split()
-        if not parts or parts[0] != tag:
-            raise ModelFormatError(f"{self.path}: line {lineno}: expected {tag!r} vector")
-        try:
-            vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
-        except ValueError as exc:
-            raise ModelFormatError(f"{self.path}: line {lineno}: non-numeric value") from exc
-        if vec.shape[0] != length:
-            raise ModelShapeError(
-                f"{self.path}: line {lineno}: {tag!r} has {vec.shape[0]} values, expected {length}"
-            )
-        return vec
-
-    def next_scalar(self, tag: str) -> float:
-        lineno = self.pos + 1
-        parts = self.next().split()
-        if len(parts) != 2 or parts[0] != tag:
-            raise ModelFormatError(f"{self.path}: line {lineno}: expected {tag!r} scalar")
-        try:
-            return float(parts[1])
-        except ValueError as exc:
-            raise ModelFormatError(f"{self.path}: line {lineno}: non-numeric value") from exc
-
-
 def load_model(path) -> MlpModel:
-    """Parse a file written by save_model; every parameter is restored bit-exactly."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    reader = _LineReader(lines, path)
+    """Parse a file written by save_model; every parameter is restored bit-exactly.
 
-    magic = reader.next()
-    if magic != MODEL_FILE_MAGIC:
-        raise ModelVersionError(f"{path}: unknown model format {magic!r}")
-
-    def header_int(tag: str) -> int:
-        return int(reader.next_scalar(tag))
-
-    input_dim = header_int("input_dim")
-    parts = reader.next().split()
-    if not parts or parts[0] != "hidden_dims":
-        raise ModelFormatError(f"{path}: expected hidden_dims line")
-    hidden_dims = tuple(int(v) for v in parts[1:])
-    output_dim = header_int("output_dim")
-    batchnorm = bool(header_int("batchnorm"))
-    init_seed = header_int("init_seed")
+    Each `block i dense r c`, `block i batchnorm w` and `output dense r c`
+    line must declare the shape the architecture lines imply.
+    """
+    reader = _TextReader(path, ModelFormatError)
+    reader.line(MODEL_FILE_MAGIC, error=ModelVersionError)
     spec = ArchitectureSpec(
-        input_dim=input_dim, hidden_dims=hidden_dims, output_dim=output_dim, batchnorm=batchnorm
+        input_dim=reader.value("input_dim", int),
+        hidden_dims=reader.values("hidden_dims", kind=int),
+        output_dim=reader.value("output_dim", int),
+        batchnorm=bool(reader.value("batchnorm", int)),
     )
+    init_seed = reader.value("init_seed", int)
+    dims = (spec.input_dim, *spec.hidden_dims)
 
-    def read_dense(kind: str, index: int) -> DenseLayer:
-        lineno = reader.pos + 1
-        parts = reader.next().split()
-        expected_prefix = ["output", "dense"] if kind == "output" else ["block", str(index), "dense"]
-        if parts[: len(expected_prefix)] != expected_prefix or len(parts) != len(expected_prefix) + 2:
-            raise ModelFormatError(f"{path}: line {lineno}: expected {' '.join(expected_prefix)} header")
-        rows, cols = int(parts[-2]), int(parts[-1])
-        weights = np.empty((rows, cols))
-        for r in range(rows):
-            weights[r] = reader.next_vector("w", cols)
-        bias = reader.next_vector("b", rows)
-        return DenseLayer(weights, bias)
+    def shape_line(label: str, shape: tuple[int, ...]) -> None:
+        stored = tuple(reader.values(label, len(shape), int).tolist())
+        if stored != shape:
+            reader.fail(f"shape {stored}, the architecture implies {shape}", error=ModelShapeError)
+
+    def dense(label: str, rows: int, cols: int) -> DenseLayer:
+        shape_line(label, (rows, cols))
+        weights = [reader.values("w", cols, error=ModelShapeError) for _ in range(rows)]
+        return DenseLayer(np.array(weights), reader.values("b", rows, error=ModelShapeError))
 
     blocks: list[tuple[DenseLayer, BatchNormLayer | None]] = []
-    for i in range(len(hidden_dims)):
-        dense = read_dense("block", i)
+    for i, width in enumerate(spec.hidden_dims):
+        block = dense(f"block {i} dense", width, dims[i])
         bn = None
-        if batchnorm:
-            lineno = reader.pos + 1
-            parts = reader.next().split()
-            if parts[:3] != ["block", str(i), "batchnorm"] or len(parts) != 4:
-                raise ModelFormatError(f"{path}: line {lineno}: expected block {i} batchnorm header")
-            width = int(parts[3])
+        if spec.batchnorm:
+            shape_line(f"block {i} batchnorm", (width,))
             bn = BatchNormLayer(
-                width,
-                momentum=reader.next_scalar("momentum"),
-                epsilon=reader.next_scalar("epsilon"),
+                width, momentum=reader.value("momentum"), epsilon=reader.value("epsilon")
             )
             for name in _BN_VECTORS:
-                setattr(bn, name, reader.next_vector(name, width))
-        blocks.append((dense, bn))
-    output_layer = read_dense("output", -1)
-    if reader.next() != "end":
-        raise ModelFormatError(f"{path}: missing end marker")
+                setattr(bn, name, reader.values(name, width, error=ModelShapeError))
+        blocks.append((block, bn))
+    output_layer = dense("output dense", spec.output_dim, dims[-1])
+    reader.line("end")
+    reader.done()
     return MlpModel(spec, blocks, output_layer, init_seed=init_seed)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from wignernet.data import (
+    CSV_HEADER,
     Dataset,
     DatasetFormatError,
     EmptyDatasetError,
@@ -168,6 +169,12 @@ class TestDatasetRoundTrip:
         assert loaded.config == ds.config
         assert loaded.ranges == ds.ranges
 
+    def test_seed_beyond_float_precision_reads_back_exactly(self, tmp_path):
+        ds = self.make_dataset(seed=10**20 + 1)
+        path = tmp_path / "ds.csv"
+        save_dataset(ds, path)
+        assert load_dataset(path).seed == 10**20 + 1
+
     def test_save_load_save_is_byte_identical(self, tmp_path):
         ds = self.make_dataset(n=20)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -220,6 +227,28 @@ class TestDatasetRoundTrip:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(DatasetFormatError, match=f"line {lineno}: non-finite"):
             load_dataset(path)
+
+    @pytest.mark.parametrize(
+        "old, new, lineno",
+        [
+            ("# m 1\n", "# m 1 2\n", 1),
+            ("# seed 5\n", "# seed 4.5\n", 4),
+            ("# x0_range -5 5\n", "# x0_range -5 5 7\n", 5),
+            ("# m 1\n# omega 1\n", "# omega 1\n# m 1\n", 1),
+            ("# seed 5\n", "# seed 5\n# n 3\n", 5),
+            (CSV_HEADER + "\n", CSV_HEADER + "\n\n", 10),
+        ],
+        ids=["extra-value", "fractional-seed", "three-values", "reordered", "extra-line", "blank"],
+    )
+    def test_malformed_line_is_named(self, tmp_path, old, new, lineno):
+        path = tmp_path / "ds.csv"
+        save_dataset(self.make_dataset(), path)
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(DatasetFormatError, match=f"line {lineno}: ") as excinfo:
+            load_dataset(path)
+        assert str(path) in str(excinfo.value)
 
     def test_empty_file_raises_distinct_error(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -115,9 +115,15 @@ class TestPhaseSpaceGrids:
             assert "degenerate" in res.error
 
 
+def sweep_report(predict, trained_hbar_log10_range):
+    """convergence_report over the stock sweep, as `wignernet sweep` computes it."""
+    spec = SweepSpec()
+    return convergence_report(predict, spec, hbar_sweep(predict, spec), trained_hbar_log10_range)
+
+
 class TestConvergenceReport:
     def test_perfect_emulator(self):
-        report = convergence_report(ORACLE, SweepSpec(), trained_hbar_log10_range=(-6.0, 0.0))
+        report = sweep_report(ORACLE, trained_hbar_log10_range=(-6.0, 0.0))
         assert report.max_rel_err == 0.0
         assert report.median_rel_err == 0.0
         assert report.n_in_range == 50
@@ -125,22 +131,18 @@ class TestConvergenceReport:
         assert report.extrapolation_decreasing
 
     def test_constant_model_does_not_localize(self):
-        report = convergence_report(
-            constant_predictor(), SweepSpec(), trained_hbar_log10_range=(-6.0, 0.0)
-        )
+        report = sweep_report(constant_predictor(), trained_hbar_log10_range=(-6.0, 0.0))
         assert not report.extrapolation_decreasing
 
     def test_range_restriction(self):
         """Only sweep points inside the trained range feed the error metrics."""
-        report = convergence_report(ORACLE, SweepSpec(), trained_hbar_log10_range=(-3.0, 0.0))
+        report = sweep_report(ORACLE, trained_hbar_log10_range=(-3.0, 0.0))
         assert report.n_in_range == sum(SweepSpec().hbar_values >= 1e-3)
         assert report.trained_hbar_min == pytest.approx(1e-3)
 
     def test_degenerate_rows_excluded(self):
-        report = convergence_report(
-            constant_predictor((0.0, 0.0, -1.0, 1.0)),
-            SweepSpec(),
-            trained_hbar_log10_range=(-6.0, 0.0),
+        report = sweep_report(
+            constant_predictor((0.0, 0.0, -1.0, 1.0)), trained_hbar_log10_range=(-6.0, 0.0)
         )
         assert report.n_in_range == 0
         assert math.isnan(report.max_rel_err)

@@ -396,6 +396,59 @@ class TestSerialization:
         with pytest.raises(ModelVersionError):
             load_model(path)
 
+    def edited_file(self, tmp_path, old, new):
+        """A saved model file with the text `old` replaced by `new`."""
+        path = tmp_path / "model.txt"
+        save_model(self.trained_ish_model(), path)
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        return path
+
+    @pytest.mark.parametrize(
+        "old, new, lineno",
+        [
+            ("input_dim 4\n", "input_dim 4.7\n", 2),
+            ("hidden_dims 8 6\n", "hidden_dims 8 x\n", 3),
+            ("init_seed 0\n", "init_seed 1.5\n", 6),
+            ("end\n", "end\nw 1 2 3 4\n", 46),
+            ("end\n", "end\n\n", 46),
+        ],
+        ids=["fractional-int", "non-int", "fractional-seed", "line-after-end", "blank-after-end"],
+    )
+    def test_malformed_line_is_named(self, tmp_path, old, new, lineno):
+        path = self.edited_file(tmp_path, old, new)
+        with pytest.raises(ModelFormatError, match=f"line {lineno}: ") as excinfo:
+            load_model(path)
+        assert str(path) in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "old, new, lineno",
+        [
+            ("block 0 dense 8 4\n", "block 0 dense 8 5\n", 7),
+            ("block 1 batchnorm 6\n", "block 1 batchnorm 7\n", 32),
+            ("output dense 4 6\n", "output dense 3 6\n", 39),
+        ],
+        ids=["block-dense", "block-batchnorm", "output-dense"],
+    )
+    def test_layer_shape_line_must_match_the_architecture(self, tmp_path, old, new, lineno):
+        with pytest.raises(ModelShapeError, match=f"line {lineno}: "):
+            load_model(self.edited_file(tmp_path, old, new))
+
+    @pytest.mark.parametrize(
+        "label, value, lineno",
+        [("w", "nan", 8), ("epsilon", "nan", 19), ("running_var", "inf", 23)],
+    )
+    def test_non_finite_value_names_line(self, tmp_path, label, value, lineno):
+        path = tmp_path / "model.txt"
+        save_model(self.trained_ish_model(), path)
+        lines = path.read_text().splitlines()
+        assert lines[lineno - 1].startswith(label + " ")
+        lines[lineno - 1] = " ".join([label, value, *lines[lineno - 1].split()[2:]])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelFormatError, match=f"line {lineno}: non-finite value"):
+            load_model(path)
+
     def test_header_and_tensor_disagreement_rejected(self, tmp_path):
         model = self.trained_ish_model()
         path = tmp_path / "model.txt"
