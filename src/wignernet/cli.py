@@ -151,9 +151,17 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
             if not isinstance(value, dict):
                 raise ValueError(f"config key {where!r} must be an object")
             _merge(base[key], value, where)
-        else:
-            base[key] = value
+            continue
+        if type(base[key]) is int and type(value) is not int:  # bools and floats are not ints
+            raise ValueError(f"config key {where!r} must be an integer, got {value!r}")
+        if _int_list(base[key]) and not _int_list(value):
+            raise ValueError(f"config key {where!r} must be a list of integers, got {value!r}")
+        base[key] = value
     return base
+
+
+def _int_list(value) -> bool:
+    return isinstance(value, list) and all(type(v) is int for v in value)
 
 
 @dataclass

@@ -21,7 +21,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .oscillator import OscillatorConfig, evolve_batch
+from .oscillator import OscillatorConfig, _RowError, evolve_batch
 
 CSV_HEADER = "x0,p0,sigma_x0,hbar,xt,pt,sigma_xt,sigma_pt"
 SPLIT_HEADER = "index,split"
@@ -264,18 +264,24 @@ def save_dataset(ds: Dataset, path: str | os.PathLike) -> None:
 def load_dataset(path: str | os.PathLike) -> Dataset:
     """Parse a dataset CSV written by save_dataset.
 
-    Malformed content is reported with its 1-based line number; a file with
-    no data rows raises EmptyDatasetError.  The clamp flags are recomputed
-    from the stored inputs (the oracle is pure, so this is exact).
+    Malformed content, including a row the oracle rejects, is reported with
+    its 1-based line number; a file with no data rows raises
+    EmptyDatasetError.  The clamp flags are recomputed from the stored inputs
+    (the oracle is pure, so this is exact).
     """
     reader = _TextReader(path, DatasetFormatError)
     if len(reader.lines) <= len(_CONFIG_KEYS) + len(_RANGE_KEYS) + 2:  # + seed and CSV_HEADER
         raise EmptyDatasetError(f"{path}: line {len(reader.lines) + 1}: no data rows")
     cfg, seed, ranges = _read_metadata(reader)
     reader.line(CSV_HEADER)
+    first = reader.pos + 1
     data = reader.rows(8)
     inputs = data[:, :4]
-    _, clamped = evolve_batch(cfg, inputs)
+    try:
+        _, clamped = evolve_batch(cfg, inputs)
+    except _RowError as exc:
+        row, reason = exc.args
+        reader.fail(reason, first + row)
     return Dataset(
         inputs=inputs, targets=data[:, 4:], config=cfg, seed=seed, ranges=ranges, clamped=clamped
     )

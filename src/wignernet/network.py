@@ -10,18 +10,20 @@ the biased variance while training and running statistics at inference:
             running <- momentum * running + (1 - momentum) * batch_stat
     infer:  y = gamma * (x - running_mean) / sqrt(running_var + eps) + beta
 
-An MlpModel keeps its state in one float64 vector, `state`, laid out as
-[parameters | running statistics]: per block the dense weights (row-major),
-bias, and with batchnorm gamma and beta; the output weights and bias; then
-running_mean and running_var per batchnorm block.  Every layer tensor is a
-view into it; `params` is the parameter part.  backward() returns the exact
+An MlpModel is its ArchitectureSpec plus one float64 vector, `state`, laid
+out as [parameters | running statistics]: per block the dense weights
+(row-major), bias, and with batchnorm gamma and beta; the output weights and
+bias; then running_mean and running_var per batchnorm block.  The model sizes
+`state` from the spec and builds its layers as views of it, so a layer never
+owns storage; `params` is the parameter part.  backward() returns the exact
 gradient (differentiated through the batch statistics) in the layout of
-`params`, as a view of a model-owned buffer that the next call overwrites.
+`params`, as the model-owned buffer `grad`, which the next call overwrites.
 All math is float64.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,38 +68,26 @@ class ArchitectureSpec:
 
 
 class DenseLayer:
-    """Affine map y = x W^T + b with weights of shape (out, in)."""
+    """Affine map y = x W^T + b over weights of shape (out, in) and their bias."""
 
     def __init__(self, weights: np.ndarray, bias: np.ndarray):
-        self.weights = np.asarray(weights, dtype=np.float64)
-        self.bias = np.asarray(bias, dtype=np.float64)
-        if self.weights.ndim != 2 or self.bias.shape != (self.weights.shape[0],):
-            raise ValueError(
-                f"inconsistent dense shapes: weights {self.weights.shape}, bias {self.bias.shape}"
-            )
+        self.weights = weights
+        self.bias = bias
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return x @ self.weights.T + self.bias
 
 
 class BatchNormLayer:
-    """Per-feature normalization with learned scale/shift and running statistics."""
+    """Per-feature normalization with learned scale/shift and running statistics,
+    over the four per-feature vectors it is given."""
 
-    def __init__(self, width: int, momentum: float = BN_MOMENTUM, epsilon: float = BN_EPSILON):
-        if not 0.0 < momentum < 1.0:
-            raise ValueError(f"momentum must lie in (0, 1), got {momentum}")
-        if not epsilon >= 0.0:
-            raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
-        self.gamma = np.ones(width)
-        self.beta = np.zeros(width)
-        self.running_mean = np.zeros(width)
-        self.running_var = np.ones(width)
-        self.momentum = momentum
-        self.epsilon = epsilon
-
-    @property
-    def width(self) -> int:
-        return self.gamma.shape[0]
+    def __init__(
+        self, gamma, beta, running_mean, running_var, momentum=BN_MOMENTUM, epsilon=BN_EPSILON
+    ):
+        self.gamma, self.beta = gamma, beta
+        self.running_mean, self.running_var = running_mean, running_var
+        self.momentum, self.epsilon = momentum, epsilon
 
     def forward_train(self, x: np.ndarray):
         """Normalize with batch statistics, updating the running ones; returns (y, cache)."""
@@ -154,69 +144,56 @@ class ForwardCache:
     output: np.ndarray
 
 
-class MlpModel:
-    """Dense/ReLU/batchnorm stack with architecture metadata.
+def _views(buffer: np.ndarray, taken: list[np.ndarray]):
+    """take(*shape): the view of buffer that follows the views in `taken`, appended to them."""
 
-    The constructor copies every layer tensor into `state` and rebinds the
-    layers' attributes to views into it.  Train-mode forwards mutate running
-    statistics and must be serialized by the caller; infer-mode forwards are
-    read-only and thread-safe.
+    def take(*shape: int) -> np.ndarray:
+        start = sum(view.size for view in taken)
+        taken.append(buffer[start : start + math.prod(shape)].reshape(shape))
+        return taken[-1]
+
+    return take
+
+
+def _layers(spec: ArchitectureSpec, param, stat):
+    """The blocks and the output layer, their tensors taken in state order from
+    param (parameters) and stat (running statistics)."""
+    dims = (spec.input_dim, *spec.hidden_dims, spec.output_dim)
+    blocks = []
+    for fan_in, width in zip(dims, spec.hidden_dims):
+        dense = DenseLayer(param(width, fan_in), param(width))
+        bn = None
+        if spec.batchnorm:
+            bn = BatchNormLayer(param(width), param(width), stat(width), stat(width))
+        blocks.append((dense, bn))
+    return blocks, DenseLayer(param(dims[-1], dims[-2]), param(dims[-1]))
+
+
+class MlpModel:
+    """Dense/ReLU/batchnorm stack over one state vector.
+
+    The constructor sizes `state` and `grad` from the spec, zeroed, and builds
+    every layer over views of `state`; the same walk over `grad` gives the
+    gradient views that backward() writes.  Train-mode forwards mutate
+    running statistics and must be serialized by the caller; infer-mode
+    forwards are read-only and thread-safe.
     """
 
-    def __init__(
-        self,
-        spec: ArchitectureSpec,
-        blocks: list[tuple[DenseLayer, BatchNormLayer | None]],
-        output_layer: DenseLayer,
-        init_seed: int,
-    ):
+    def __init__(self, spec: ArchitectureSpec, init_seed: int):
         self.spec = spec
-        self.blocks = blocks
-        self.output_layer = output_layer
         self.init_seed = init_seed
-        self._check_dims()
-        params, stats = self._slots()
-        tensors = [getattr(*slot) for slot in params + stats]
-        self.state = np.concatenate([t.ravel() for t in tensors])
-        self.params = self.state[: sum(t.size for t in tensors[: len(params)])]
-        self.grad = np.zeros_like(self.params)
-        self._grads = {}  # (layer, attribute) -> its block of self.grad, for backward()
-        offset = 0
-        for slot, t in zip(params + stats, tensors):
-            setattr(*slot, self.state[offset : offset + t.size].reshape(t.shape))
-            if offset < self.grad.size:
-                self._grads[slot] = self.grad[offset : offset + t.size].reshape(t.shape)
-            offset += t.size
-
-    def _check_dims(self):
-        dims = (self.spec.input_dim, *self.spec.hidden_dims, self.spec.output_dim)
-        layers = [dense for dense, _ in self.blocks] + [self.output_layer]
-        if len(layers) != len(dims) - 1:
-            raise ModelShapeError(
-                f"expected {len(dims) - 1} dense layers for dims {dims}, got {len(layers)}"
-            )
-        for i, layer in enumerate(layers):
-            expected = (dims[i + 1], dims[i])
-            if layer.weights.shape != expected:
-                raise ModelShapeError(
-                    f"dense layer {i} has shape {layer.weights.shape}, expected {expected}"
-                )
-        for i, (_, bn) in enumerate(self.blocks):
-            if bn is not None and bn.width != dims[i + 1]:
-                raise ModelShapeError(
-                    f"batchnorm {i} has width {bn.width}, expected {dims[i + 1]}"
-                )
-
-    def _slots(self) -> tuple[list[tuple[object, str]], list[tuple[object, str]]]:
-        """(layer, attribute) of every parameter and running statistic, in state order."""
-        params, stats = [], []
-        for dense, bn in self.blocks:
-            params += [(dense, "weights"), (dense, "bias")]
-            if bn is not None:
-                params += [(bn, "gamma"), (bn, "beta")]
-                stats += [(bn, "running_mean"), (bn, "running_var")]
-        params += [(self.output_layer, "weights"), (self.output_layer, "bias")]
-        return params, stats
+        dims = (spec.input_dim, *spec.hidden_dims, spec.output_dim)
+        n_stats = 2 * sum(spec.hidden_dims) if spec.batchnorm else 0  # as many as gamma and beta
+        n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:])) + n_stats
+        self.state = np.zeros(n_params + n_stats)
+        self.params = self.state[:n_params]
+        self.grad = np.zeros(n_params)
+        self._tensors = param, stat = [], []  # the views of params, then of the statistics
+        self.blocks, self.output_layer = _layers(
+            spec, _views(self.params, param), _views(self.state[n_params:], stat)
+        )
+        # Running statistics have no gradient: the gradient walk takes theirs from scratch.
+        self._grad_layers = _layers(spec, _views(self.grad, []), _views(np.empty(n_stats), []))
 
     def _batch(self, x) -> np.ndarray:
         """x as a float64 batch of shape (B, input_dim)."""
@@ -260,12 +237,11 @@ class MlpModel:
 
     def parameters(self) -> list[np.ndarray]:
         """Trainable tensors, as views into params in its order."""
-        return [getattr(*slot) for slot in self._slots()[0]]
+        return list(self._tensors[0])
 
     def state_arrays(self) -> list[np.ndarray]:
         """Parameters plus batchnorm running statistics, as views into state."""
-        params, stats = self._slots()
-        return [getattr(*slot) for slot in params + stats]
+        return self._tensors[0] + self._tensors[1]
 
     def snapshot(self) -> np.ndarray:
         return self.state.copy()
@@ -278,20 +254,15 @@ class MlpModel:
 
 def init_model(spec: ArchitectureSpec, seed: int) -> MlpModel:
     """Glorot-uniform dense weights, zero biases, identity batchnorm."""
+    model = MlpModel(spec, init_seed=seed)
     rng = np.random.default_rng(seed)
-    dims = (spec.input_dim, *spec.hidden_dims, spec.output_dim)
-
-    def glorot(fan_out: int, fan_in: int) -> np.ndarray:
+    for dense in [dense for dense, _ in model.blocks] + [model.output_layer]:
+        fan_out, fan_in = dense.weights.shape
         bound = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-bound, bound, size=(fan_out, fan_in))
-
-    blocks = []
-    for i, width in enumerate(spec.hidden_dims):
-        dense = DenseLayer(glorot(width, dims[i]), np.zeros(width))
-        bn = BatchNormLayer(width) if spec.batchnorm else None
-        blocks.append((dense, bn))
-    output_layer = DenseLayer(glorot(spec.output_dim, dims[-2]), np.zeros(spec.output_dim))
-    return MlpModel(spec, blocks, output_layer, init_seed=seed)
+        dense.weights[...] = rng.uniform(-bound, bound, size=(fan_out, fan_in))
+    for bn in (bn for _, bn in model.blocks if bn is not None):
+        bn.gamma[...] = bn.running_var[...] = 1.0
+    return model
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
@@ -313,19 +284,18 @@ def backward(model: MlpModel, cache: ForwardCache, target: np.ndarray) -> np.nda
         )
     g = 2.0 * (cache.output - target) / cache.output.size
 
-    grads = model._grads
-    out = model.output_layer
-    np.matmul(g.T, cache.final_input, out=grads[out, "weights"])
-    np.add.reduce(g, 0, out=grads[out, "bias"])
-    g = g @ out.weights
+    grad_blocks, grad_out = model._grad_layers
+    np.matmul(g.T, cache.final_input, out=grad_out.weights)
+    np.add.reduce(g, 0, out=grad_out.bias)
+    g = g @ model.output_layer.weights
 
     for i in range(len(model.blocks) - 1, -1, -1):
-        dense, bn = model.blocks[i]
+        (dense, bn), (grad_dense, grad_bn) = model.blocks[i], grad_blocks[i]
         if bn is not None:
-            g = bn.backward(g, cache.bn_caches[i], grads[bn, "gamma"], grads[bn, "beta"])
+            g = bn.backward(g, cache.bn_caches[i], grad_bn.gamma, grad_bn.beta)
         g *= cache.relu_masks[i]
-        np.matmul(g.T, cache.block_inputs[i], out=grads[dense, "weights"])
-        np.add.reduce(g, 0, out=grads[dense, "bias"])
+        np.matmul(g.T, cache.block_inputs[i], out=grad_dense.weights)
+        np.add.reduce(g, 0, out=grad_dense.bias)
         if i:  # block 0's input gradient would be the data's
             g = g @ dense.weights
     return model.grad
@@ -335,18 +305,12 @@ class Adam:
     """Adam with bias correction over one parameter array; epsilon is added
     outside the square root."""
 
-    def __init__(
-        self,
-        params: np.ndarray,
-        learning_rate: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-7,
-    ):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPSILON = 1e-7
+
+    def __init__(self, params: np.ndarray, learning_rate: float):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.step_count = 0
         self.first_moment = np.zeros_like(params)
         self.second_moment = np.zeros_like(params)
@@ -359,21 +323,21 @@ class Adam:
                 f"expected shape {self.first_moment.shape}, got {params.shape} and {grads.shape}"
             )
         self.step_count += 1
-        bc1 = 1.0 - self.beta1**self.step_count
-        bc2 = 1.0 - self.beta2**self.step_count
+        bc1 = 1.0 - self.BETA1**self.step_count
+        bc2 = 1.0 - self.BETA2**self.step_count
         m, v = self.first_moment, self.second_moment
         s, t = self._scratch
-        m *= self.beta1
-        m += np.multiply(grads, 1.0 - self.beta1, out=s)
-        v *= self.beta2
+        m *= self.BETA1
+        m += np.multiply(grads, 1.0 - self.BETA1, out=s)
+        v *= self.BETA2
         np.multiply(grads, grads, out=s)
-        s *= 1.0 - self.beta2
+        s *= 1.0 - self.BETA2
         v += s
         # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in that order.
         np.divide(m, bc1, out=s)
         s *= self.learning_rate
         np.sqrt(np.divide(v, bc2, out=t), out=t)
-        t += self.epsilon
+        t += self.EPSILON
         s /= t
         params -= s
 
@@ -400,7 +364,7 @@ def _model_lines(model: MlpModel):
         yield from (("w", row) for row in dense.weights)
         yield ("b", dense.bias)
         if bn is not None:
-            yield f"block {i} batchnorm {bn.width}"
+            yield f"block {i} batchnorm {bn.gamma.size}"
             yield ("momentum", [bn.momentum])
             yield ("epsilon", [bn.epsilon])
             yield from ((name, getattr(bn, name)) for name in _BN_VECTORS)
@@ -426,33 +390,35 @@ def load_model(path) -> MlpModel:
             output_dim=reader.value("output_dim", int),
             batchnorm=reader.value("batchnorm", int),
         )
-    init_seed = reader.value("init_seed", int)
-    dims = (spec.input_dim, *spec.hidden_dims)
+    model = MlpModel(spec, init_seed=reader.value("init_seed", int))
 
     def shape_line(label: str, shape: tuple[int, ...]) -> None:
         stored = tuple(reader.values(label, len(shape), int).tolist())
         if stored != shape:
             reader.fail(f"shape {stored}, the architecture implies {shape}", error=ModelShapeError)
 
-    def dense(label: str, rows: int, cols: int) -> DenseLayer:
-        shape_line(label, (rows, cols))
-        weights = [reader.values("w", cols, error=ModelShapeError) for _ in range(rows)]
-        return DenseLayer(np.array(weights), reader.values("b", rows, error=ModelShapeError))
+    def fill(label: str, view: np.ndarray) -> None:
+        view[...] = reader.values(label, view.size, error=ModelShapeError)
 
-    blocks: list[tuple[DenseLayer, BatchNormLayer | None]] = []
-    for i, width in enumerate(spec.hidden_dims):
-        block = dense(f"block {i} dense", width, dims[i])
-        bn = None
-        if spec.batchnorm:
-            shape_line(f"block {i} batchnorm", (width,))
+    def dense(label: str, layer: DenseLayer) -> None:
+        shape_line(label, layer.weights.shape)
+        for row in layer.weights:
+            fill("w", row)
+        fill("b", layer.bias)
+
+    for i, (layer, bn) in enumerate(model.blocks):
+        dense(f"block {i} dense", layer)
+        if bn is not None:
+            shape_line(f"block {i} batchnorm", bn.gamma.shape)
             with reader.group():
-                bn = BatchNormLayer(
-                    width, momentum=reader.value("momentum"), epsilon=reader.value("epsilon")
-                )
+                bn.momentum, bn.epsilon = reader.value("momentum"), reader.value("epsilon")
+                if not 0.0 < bn.momentum < 1.0:
+                    raise ValueError(f"momentum must lie in (0, 1), got {bn.momentum}")
+                if not bn.epsilon >= 0.0:
+                    raise ValueError(f"epsilon must be nonnegative, got {bn.epsilon}")
             for name in _BN_VECTORS:
-                setattr(bn, name, reader.values(name, width, error=ModelShapeError))
-        blocks.append((block, bn))
-    output_layer = dense("output dense", spec.output_dim, dims[-1])
+                fill(name, getattr(bn, name))
+    dense("output dense", model.output_layer)
     reader.line("end")
     reader.done()
-    return MlpModel(spec, blocks, output_layer, init_seed=init_seed)
+    return model

@@ -49,6 +49,13 @@ class OscillatorConfig:
             raise ValueError(f"evolution time must be nonnegative, got {self.t}")
 
 
+class _RowError(ValueError):
+    """An input row that violates an invariant; args are its 0-based index and the reason."""
+
+    def __str__(self) -> str:
+        return "row {}: {}".format(*self.args)
+
+
 @dataclass
 class GaussianWigner:
     """Separable Gaussian Wigner function on phase space.
@@ -82,22 +89,22 @@ def evolve_batch(cfg: OscillatorConfig, inputs: np.ndarray) -> tuple[np.ndarray,
     Returns the (N, 4) matrix of (xt, pt, sigma_xt, sigma_pt) rows and an
     (N,) boolean vector marking rows whose variance went negative before the
     absolute value.  Rows violating the input invariants raise ValueError
-    with the offending row index.
+    (_RowError) with the offending row index.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != 4:
         raise ValueError(f"inputs must be an (N, 4) matrix, got shape {inputs.shape}")
     if not np.all(np.isfinite(inputs)):
         row = int(np.argwhere(~np.isfinite(inputs).all(axis=1))[0, 0])
-        raise ValueError(f"row {row}: non-finite input value")
+        raise _RowError(row, "non-finite input value")
     bad_sigma = inputs[:, 2] <= 0
     if np.any(bad_sigma):
         row = int(np.argmax(bad_sigma))
-        raise ValueError(f"row {row}: sigma_x0 must be positive, got {inputs[row, 2]}")
+        raise _RowError(row, f"sigma_x0 must be positive, got {inputs[row, 2]}")
     bad_hbar = inputs[:, 3] <= 0
     if np.any(bad_hbar):
         row = int(np.argmax(bad_hbar))
-        raise ValueError(f"row {row}: hbar must be positive, got {inputs[row, 3]}")
+        raise _RowError(row, f"hbar must be positive, got {inputs[row, 3]}")
 
     m, w, t = cfg.m, cfg.omega, cfg.t
     x0, p0, sx0, hbar = inputs[:, 0], inputs[:, 1], inputs[:, 2], inputs[:, 3]

@@ -41,6 +41,46 @@ class TestConfig:
         block = readme.split("```json\n", 1)[1].split("```", 1)[0]
         assert json.loads(block) == default_config()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("dataset.n_samples", 2.5),
+            ("dataset.seed", 2.5),
+            ("dataset.split_seed", 2.5),
+            ("network.init_seed", 2.5),
+            ("training.max_epochs", 2.5),
+            ("training.batch_size", 2.5),
+            ("training.patience", 2.5),
+            ("training.shuffle_seed", 2.5),
+            ("sweep.n_points", 2.5),
+            ("phasespace.grid_points", 2.5),
+            ("training.max_epochs", True),
+            ("training.patience", 20.0),
+        ],
+    )
+    def test_integer_key_rejects_other_numbers(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(nested(key, value)))
+        for command in ("generate", "train", "eval", "sweep", "phasespace"):
+            assert run(command, "--config", cfg, "--out-dir", tmp_path / "run") == 1
+            err = capsys.readouterr().err
+            assert err == f"error: config key {key!r} must be an integer, got {value!r}\n"
+
+    @pytest.mark.parametrize("value", [[8.7], [16, True], 8])
+    def test_hidden_dims_take_integers_only(self, tmp_path, capsys, value):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(nested("network.hidden_dims", value)))
+        assert run("train", "--config", cfg, "--out-dir", tmp_path / "run") == 1
+        message = f"config key 'network.hidden_dims' must be a list of integers, got {value!r}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_float_keys_take_integers_and_batchnorm_takes_0_or_1(self, tmp_path):
+        cfg = small_config(tmp_path, oscillator={"t": 5, "m": 1}, network={"batchnorm": 0},
+                           training={"max_epochs": 1, "batch_size": 16, "learning_rate": 1})
+        assert run("generate", "--config", cfg) == 0
+        assert run("train", "--config", cfg) == 0
+        assert "batchnorm 0\n" in (tmp_path / "run" / "model.txt").read_text()
+
 
 # Every flag each command takes; a flag not listed for a command is rejected.
 COMMAND_FLAGS = {

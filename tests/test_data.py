@@ -239,6 +239,8 @@ class TestDatasetRoundTrip:
             (CSV_HEADER + "\n", CSV_HEADER + "\n\n", 10),
             ("# m 1\n", "# m -1\n", 1),
             ("# x0_range -5 5\n", "# x0_range 5 -5\n", 5),
+            (",0.57313656609075214,", ",-0.57313656609075214,", 12),  # sigma_x0 of row 3
+            (",2.5530611089982403e-05,", ",-1,", 12),  # hbar of row 3
         ],
         ids=[
             "extra-value",
@@ -249,6 +251,8 @@ class TestDatasetRoundTrip:
             "blank",
             "negative-mass",
             "inverted-range",
+            "nonpositive-sigma-x0",
+            "nonpositive-hbar",
         ],
     )
     def test_malformed_line_is_named(self, tmp_path, old, new, lineno):

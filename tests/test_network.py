@@ -33,6 +33,11 @@ def random_batch(rng, b=16):
     return rng.normal(size=(b, 4)), rng.normal(size=(b, 4))
 
 
+def own_batchnorm(width, **constants):
+    """A BatchNormLayer over arrays of its own, with identity statistics."""
+    return BatchNormLayer(np.ones(width), np.zeros(width), np.zeros(width), np.ones(width), **constants)
+
+
 def per_tensor(flat, like):
     """Split a flat vector into arrays shaped like the tensors in `like`."""
     ends = np.cumsum([t.size for t in like])
@@ -87,14 +92,14 @@ class TestForward:
 
     def test_batchnorm_hand_example(self):
         """Batch [0, 2] on one feature: mean 1, biased variance 1, eps 1e-3."""
-        bn = BatchNormLayer(1, epsilon=1e-3)
+        bn = own_batchnorm(1, epsilon=1e-3)
         out, _ = bn.forward_train(np.array([[0.0], [2.0]]))
         expected = 1.0 / math.sqrt(1.0 + 1e-3)
         assert out[0, 0] == pytest.approx(-expected, rel=1e-12)
         assert out[1, 0] == pytest.approx(+expected, rel=1e-12)
 
     def test_running_statistics_update(self):
-        bn = BatchNormLayer(1, momentum=0.99, epsilon=1e-3)
+        bn = own_batchnorm(1, momentum=0.99, epsilon=1e-3)
         bn.forward_train(np.array([[0.0], [2.0]]))
         assert bn.running_mean[0] == pytest.approx(0.01)  # 0.99*0 + 0.01*1
         assert bn.running_var[0] == pytest.approx(1.0)  # 0.99*1 + 0.01*1
@@ -121,9 +126,9 @@ class TestForward:
     def test_batchnorm_infer_identity(self):
         """Fresh statistics scale by 1/sqrt(1+eps); eps=0 is the exact identity."""
         x = np.random.default_rng(4).normal(size=(6, 3))
-        bn = BatchNormLayer(3, epsilon=1e-3)
+        bn = own_batchnorm(3, epsilon=1e-3)
         assert np.allclose(bn.forward_infer(x), x / math.sqrt(1.0 + 1e-3), rtol=1e-14)
-        bn0 = BatchNormLayer(3, epsilon=0.0)
+        bn0 = own_batchnorm(3, epsilon=0.0)
         assert np.array_equal(bn0.forward_infer(x), x)
 
 
@@ -211,7 +216,7 @@ class TestAdam:
         lr, eps = 0.0005, 1e-7
         theta = np.array([1.0])
         grad = np.array([0.3])
-        opt = Adam(theta, learning_rate=lr, epsilon=eps)
+        opt = Adam(theta, learning_rate=lr)
         opt.step(theta, grad)
         expected_delta = lr * 0.3 / (0.3 + eps)  # bias correction gives mhat=g, vhat=g^2
         assert theta[0] == pytest.approx(1.0 - expected_delta, rel=1e-12)
@@ -325,10 +330,37 @@ class TestFlatState:
 
     @pytest.mark.parametrize("source", ["init_model", "load_model"])
     def test_layer_tensors_are_views_into_the_state(self, source, tmp_path):
-        model = init_model(small_spec(hidden=(8, 6)), seed=12)
-        if source == "load_model":
-            save_model(model, tmp_path / "model.txt")
-            model = load_model(tmp_path / "model.txt")
+        def build(spec):
+            model = init_model(spec, seed=12)
+            if source == "load_model":
+                save_model(model, tmp_path / "model.txt")
+                model = load_model(tmp_path / "model.txt")
+            return model
+
+        def tensors(layers):
+            blocks, output_layer = layers
+            held = [layer for block in blocks for layer in block if layer is not None]
+            return [t for layer in held + [output_layer] for t in vars(layer).values()
+                    if isinstance(t, np.ndarray)]
+
+        for spec in (small_spec(hidden=(8, 6)), small_spec(hidden=(8, 6), batchnorm=False),
+                     small_spec(hidden=())):
+            model = build(spec)
+            layer_tensors = tensors((model.blocks, model.output_layer))
+            assert {id(t) for t in layer_tensors} == {id(t) for t in model.state_arrays()}
+            # The gradient walk's running statistics are scratch, not gradient views.
+            grad_tensors = [t for t in tensors(model._grad_layers) if np.shares_memory(t, model.grad)]
+            assert [g.shape for g in grad_tensors] == [p.shape for p in model.parameters()]
+            x, y = random_batch(np.random.default_rng(12))
+            _, cache = model.forward_train(x)
+            assert backward(model, cache, y) is model.grad
+            # Distinct values in the buffer: each view reads exactly its own slots, in order.
+            for buffer, views in ((model.state, model.state_arrays()), (model.grad, grad_tensors)):
+                buffer[...] = np.arange(buffer.size)
+                assert all(np.shares_memory(v, buffer) for v in views)
+                assert np.array_equal(np.concatenate([v.ravel() for v in views]), buffer)
+
+        model = build(small_spec(hidden=(8, 6)))
         dense, bn = model.blocks[0]
         weights, gamma = dense.weights, bn.gamma
         weights_before, gamma_before = weights.copy(), gamma.copy()
