@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from functools import reduce
@@ -40,8 +41,8 @@ from .data import (
 )
 from .experiments import (
     PhaseSpaceSpec,
-    SWEEP_HBAR_LOG10,
     SweepSpec,
+    _phase_space_file,
     convergence_report,
     hbar_sweep,
     oracle_predictor,
@@ -97,8 +98,8 @@ _SCHEMA = {
     ),
     "sweep": (
         SweepSpec,
-        {"x0": "x0", "p0": "p0", "sigma_x0": "sigma_x0"},
-        dict(zip(("hbar_log10_min", "hbar_log10_max", "n_points"), SWEEP_HBAR_LOG10)),
+        {k: k for k in ("x0", "p0", "sigma_x0", "hbar_log10_min", "hbar_log10_max", "n_points")},
+        {},
     ),
     "phasespace": (
         PhaseSpaceSpec,
@@ -152,16 +153,29 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
                 raise ValueError(f"config key {where!r} must be an object")
             _merge(base[key], value, where)
             continue
-        if type(base[key]) is int and type(value) is not int:  # bools and floats are not ints
-            raise ValueError(f"config key {where!r} must be an integer, got {value!r}")
-        if _int_list(base[key]) and not _int_list(value):
-            raise ValueError(f"config key {where!r} must be a list of integers, got {value!r}")
+        default = base[key]
+        listed = isinstance(default, list)
+        one, many, ok = _JSON_TYPES[type(default[0] if listed else default)]
+        if listed:
+            pair = path == "sampling"  # each sampling key is a (min, max) range
+            one = f"a list of {'2 ' * pair}{many}"
+            fits = isinstance(value, list) and all(map(ok, value)) and (len(value) == 2 or not pair)
+        if not (fits if listed else ok(value)):
+            raise ValueError(f"config key {where!r} must be {one}, got {value!r}")
         base[key] = value
     return base
 
 
-def _int_list(value) -> bool:
-    return isinstance(value, list) and all(type(v) is int for v in value)
+# By the type of a key's default (a list's by its elements'), the JSON values it
+# takes: named alone and in a list, and the test of one.  Python's bools are ints:
+# an int key turns them away, and a bool key also takes 0 and 1, as model.txt has.
+_JSON_TYPES = {
+    int: ("an integer", "integers", lambda v: type(v) is int),
+    float: ("a finite number", "finite numbers",
+            lambda v: type(v) in (int, float) and math.isfinite(v)),
+    bool: ("true, false, 0 or 1", "booleans", lambda v: type(v) in (bool, int) and v in (0, 1)),
+    str: ("a string", "strings", lambda v: type(v) is str),
+}
 
 
 @dataclass
@@ -190,8 +204,6 @@ class RunConfig:
             )
 
         osc = build("oscillator")
-        sw = cfg["sweep"]
-        hbars = np.logspace(sw["hbar_log10_min"], sw["hbar_log10_max"], sw["n_points"])
         return cls(
             oscillator=osc,
             ranges=build("sampling"),
@@ -201,18 +213,14 @@ class RunConfig:
             arch=build("network"),
             init_seed=cfg["network"]["init_seed"],
             train_config=build("training"),
-            sweep_spec=build("sweep", hbar_values=hbars, cfg=osc),
-            phasespace_spec=build("phasespace", cfg=osc),
+            sweep_spec=build("sweep", cfg=osc),
+            phasespace_spec=build("phasespace"),
             out_dir=Path(cfg["out_dir"]),
         )
 
 
 def _from_json(value):
     return tuple(value) if isinstance(value, list) else value
-
-
-def _hbar_tag(hbar: float) -> str:
-    return f"{hbar:g}".replace(".", "p").replace("-", "m").replace("+", "")
 
 
 def _load_run_config(args) -> RunConfig:
@@ -303,13 +311,9 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     rc = _load_run_config(args)
+    dataset = args.dataset or rc.out_dir / DATASET_FILE  # its metadata hold the trained range
+    _, _, ranges = _read_metadata(_TextReader(dataset, DatasetFormatError))
     predict = _resolve_predictor(args, rc)
-
-    # The trained range comes from the companion dataset's metadata when present.
-    dataset_path = Path(args.dataset or rc.out_dir / DATASET_FILE)
-    ranges = rc.ranges
-    if dataset_path.exists():
-        _, _, ranges = _read_metadata(_TextReader(dataset_path, DatasetFormatError))
 
     result = hbar_sweep(predict, rc.sweep_spec)
     save_sweep(result, rc.out_dir / SWEEP_FILE)
@@ -337,7 +341,7 @@ def cmd_phasespace(args) -> int:
             failures += 1
             print(f"error: {res.error}", file=sys.stderr)
             continue
-        path = rc.out_dir / f"phasespace_hbar_{_hbar_tag(res.hbar)}.csv"
+        path = rc.out_dir / _phase_space_file(res.hbar)
         save_phase_space(res, path)
         print(
             f"wrote {path}: peak {res.peak_value:.6g} at "

@@ -30,30 +30,32 @@ class DegenerateWidthError(ValueError):
     """Raised when a predicted width is not positive and no Gaussian exists."""
 
 
-# log10 of the smallest and largest hbar, and the point count, of the default sweep.
-SWEEP_HBAR_LOG10 = (-6.0, 0.0, 50)
-
-
-def _default_sweep_hbars() -> np.ndarray:
-    return np.logspace(*SWEEP_HBAR_LOG10)
-
-
 @dataclass
 class SweepSpec:
-    """Fixed initial state swept over a sorted list of positive hbar values."""
+    """Fixed initial state swept over n_points log-spaced hbar values, from
+    10**hbar_log10_min to 10**hbar_log10_max: hbar_values, sorted strictly ascending."""
 
     x0: float = 1.0
     p0: float = 0.0
     sigma_x0: float = 1.0
-    hbar_values: np.ndarray = field(default_factory=_default_sweep_hbars)
+    hbar_log10_min: float = -6.0
+    hbar_log10_max: float = 0.0
+    n_points: int = 50
     cfg: OscillatorConfig = field(default_factory=OscillatorConfig)
+    hbar_values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.hbar_values = np.asarray(self.hbar_values, dtype=np.float64)
-        if self.hbar_values.size == 0 or np.any(self.hbar_values <= 0):
-            raise ValueError("hbar_values must be nonempty and strictly positive")
-        if np.any(np.diff(self.hbar_values) <= 0):
-            raise ValueError("hbar_values must be sorted strictly ascending")
+        if self.n_points < 1:
+            raise ValueError(f"sweep n_points must be >= 1, got {self.n_points}")
+        self.hbar_values = np.logspace(self.hbar_log10_min, self.hbar_log10_max, self.n_points)
+        if np.any(self.hbar_values <= 0) or np.any(np.diff(self.hbar_values) <= 0):
+            raise ValueError("sweep hbar values must be positive and strictly ascending")
+
+
+def _phase_space_file(hbar: float) -> str:
+    """The grid file's name at hbar: its %g text with '.' -> 'p' and '-' -> 'm'."""
+    tag = f"{hbar:g}".replace(".", "p").replace("-", "m").replace("+", "")
+    return f"phasespace_hbar_{tag}.csv"
 
 
 @dataclass
@@ -67,11 +69,14 @@ class PhaseSpaceSpec:
     grid_min: float = -10.0
     grid_max: float = 10.0
     grid_points: int = 100
-    cfg: OscillatorConfig = field(default_factory=OscillatorConfig)
 
     def __post_init__(self):
-        if any(h <= 0 for h in self.hbar_values):
-            raise ValueError("hbar_values must be strictly positive")
+        if not self.hbar_values or any(h <= 0 for h in self.hbar_values):
+            raise ValueError("hbar_values must be nonempty and strictly positive")
+        names = [_phase_space_file(h) for h in self.hbar_values]  # one file per hbar
+        if len(set(names)) < len(names):
+            twice = max(names, key=names.count)
+            raise ValueError(f"hbar_values {list(self.hbar_values)} write {twice} twice")
         if not (np.isfinite(self.grid_min) and np.isfinite(self.grid_max)):
             raise ValueError("grid bounds must be finite")
         if not self.grid_min < self.grid_max:

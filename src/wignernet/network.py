@@ -23,6 +23,7 @@ All math is float64.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +33,7 @@ from .data import _TextReader, _write_text
 
 MODEL_FILE_MAGIC = "wignernet model v1"
 
+# Batch normalization's fixed hyperparameters (Ioffe & Szegedy, ICML 2015).
 BN_MOMENTUM = 0.99
 BN_EPSILON = 1e-3
 
@@ -82,12 +84,12 @@ class BatchNormLayer:
     """Per-feature normalization with learned scale/shift and running statistics,
     over the four per-feature vectors it is given."""
 
-    def __init__(
-        self, gamma, beta, running_mean, running_var, momentum=BN_MOMENTUM, epsilon=BN_EPSILON
-    ):
+    momentum = BN_MOMENTUM
+    epsilon = BN_EPSILON
+
+    def __init__(self, gamma, beta, running_mean, running_var):
         self.gamma, self.beta = gamma, beta
         self.running_mean, self.running_var = running_mean, running_var
-        self.momentum, self.epsilon = momentum, epsilon
 
     def forward_train(self, x: np.ndarray):
         """Normalize with batch statistics, updating the running ones; returns (y, cache)."""
@@ -342,16 +344,15 @@ class Adam:
         params -= s
 
 
-# Per-feature batchnorm vectors, in the order a model file lists them.
-_BN_VECTORS = ("gamma", "beta", "running_mean", "running_var")
-
-
 def save_model(model: MlpModel, path) -> None:
     """Self-describing text container; 17 significant digits round-trip floats."""
     _write_text(path, _model_lines(model))
 
 
 def _model_lines(model: MlpModel):
+    """The model file's lines, as _write_text takes them and load_model walks them:
+    a string is a line the file holds exactly, a (label, array) pair a tensor
+    stored through its view, and a (label, [value]) pair a constant it states."""
     spec = model.spec
     yield MODEL_FILE_MAGIC
     yield f"input_dim {spec.input_dim}"
@@ -359,27 +360,25 @@ def _model_lines(model: MlpModel):
     yield f"output_dim {spec.output_dim}"
     yield f"batchnorm {int(spec.batchnorm)}"
     yield f"init_seed {model.init_seed}"
-    for i, (dense, bn) in enumerate(model.blocks):
-        yield f"block {i} dense {dense.weights.shape[0]} {dense.weights.shape[1]}"
+    layers = [(f"block {i}", dense, bn) for i, (dense, bn) in enumerate(model.blocks)]
+    for name, dense, bn in layers + [("output", model.output_layer, None)]:
+        yield f"{name} dense {dense.weights.shape[0]} {dense.weights.shape[1]}"
         yield from (("w", row) for row in dense.weights)
         yield ("b", dense.bias)
         if bn is not None:
-            yield f"block {i} batchnorm {bn.gamma.size}"
+            yield f"{name} batchnorm {bn.gamma.size}"
             yield ("momentum", [bn.momentum])
             yield ("epsilon", [bn.epsilon])
-            yield from ((name, getattr(bn, name)) for name in _BN_VECTORS)
-    out = model.output_layer
-    yield f"output dense {out.weights.shape[0]} {out.weights.shape[1]}"
-    yield from (("w", row) for row in out.weights)
-    yield ("b", out.bias)
+            for vector in ("gamma", "beta", "running_mean", "running_var"):
+                yield (vector, getattr(bn, vector))
     yield "end"
 
 
 def load_model(path) -> MlpModel:
     """Parse a file written by save_model; every parameter is restored bit-exactly.
 
-    Each `block i dense r c`, `block i batchnorm w` and `output dense r c`
-    line must declare the shape the architecture lines imply.
+    After the header, the lines must be those save_model writes for its architecture,
+    momentum and epsilon equal in value; a layer line that differs raises ModelShapeError.
     """
     reader = _TextReader(path, ModelFormatError)
     reader.line(MODEL_FILE_MAGIC, error=ModelVersionError)
@@ -391,34 +390,14 @@ def load_model(path) -> MlpModel:
             batchnorm=reader.value("batchnorm", int),
         )
     model = MlpModel(spec, init_seed=reader.value("init_seed", int))
-
-    def shape_line(label: str, shape: tuple[int, ...]) -> None:
-        stored = tuple(reader.values(label, len(shape), int).tolist())
-        if stored != shape:
-            reader.fail(f"shape {stored}, the architecture implies {shape}", error=ModelShapeError)
-
-    def fill(label: str, view: np.ndarray) -> None:
-        view[...] = reader.values(label, view.size, error=ModelShapeError)
-
-    def dense(label: str, layer: DenseLayer) -> None:
-        shape_line(label, layer.weights.shape)
-        for row in layer.weights:
-            fill("w", row)
-        fill("b", layer.bias)
-
-    for i, (layer, bn) in enumerate(model.blocks):
-        dense(f"block {i} dense", layer)
-        if bn is not None:
-            shape_line(f"block {i} batchnorm", bn.gamma.shape)
-            with reader.group():
-                bn.momentum, bn.epsilon = reader.value("momentum"), reader.value("epsilon")
-                if not 0.0 < bn.momentum < 1.0:
-                    raise ValueError(f"momentum must lie in (0, 1), got {bn.momentum}")
-                if not bn.epsilon >= 0.0:
-                    raise ValueError(f"epsilon must be nonnegative, got {bn.epsilon}")
-            for name in _BN_VECTORS:
-                fill(name, getattr(bn, name))
-    dense("output dense", model.output_layer)
-    reader.line("end")
+    for line in itertools.islice(_model_lines(model), reader.pos, None):  # past the header
+        if isinstance(line, str):
+            reader.line(line, error=ModelShapeError)
+            continue
+        label, values = line
+        if isinstance(values, np.ndarray):
+            values[...] = reader.values(label, values.size, error=ModelShapeError)
+        elif (value := reader.value(label)) != values[0]:
+            reader.fail(f"{label} must be {values[0]}, got {value}")
     reader.done()
     return model

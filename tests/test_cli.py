@@ -74,6 +74,29 @@ class TestConfig:
         message = f"config key 'network.hidden_dims' must be a list of integers, got {value!r}"
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "key, value, expected",
+        [
+            ("oscillator.t", "5", "a finite number"),
+            ("oscillator.t", None, "a finite number"),
+            ("oscillator.t", True, "a finite number"),
+            ("oscillator.omega", float("inf"), "a finite number"),
+            ("sampling.x0", [float("-inf"), 5], "a list of 2 finite numbers"),
+            ("sampling.x0", [-5, 0, 5], "a list of 2 finite numbers"),
+            ("phasespace.hbar_values", 1.0, "a list of finite numbers"),
+            ("training.restore_best", "no", "true, false, 0 or 1"),
+            ("out_dir", 5, "a string"),
+        ],
+        ids=["t-string", "t-null", "t-true", "omega-infinite", "x0-infinite-bound",
+             "x0-three-values", "hbar_values-scalar", "restore_best-string", "out_dir-int"],
+    )
+    def test_value_must_have_its_defaults_json_type(self, tmp_path, capsys, key, value, expected):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(nested(key, value)))
+        assert run("generate", "--config", cfg, "--out-dir", tmp_path / "run") == 1
+        message = f"config key {key!r} must be {expected}, got {value!r}"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_float_keys_take_integers_and_batchnorm_takes_0_or_1(self, tmp_path):
         cfg = small_config(tmp_path, oscillator={"t": 5, "m": 1}, network={"batchnorm": 0},
                            training={"max_epochs": 1, "batch_size": 16, "learning_rate": 1})
@@ -313,6 +336,14 @@ class TestSweep:
         assert "median rel err" in out
         assert "decreasing below trained range: True" in out
 
+    def test_missing_companion_dataset_fails_naming_it(self, tmp_path, capsys):
+        cfg = small_config(tmp_path)
+        assert run("generate", "--config", cfg) == 0
+        missing = tmp_path / "nope.csv"
+        assert run("sweep", "--config", cfg, "--oracle", "--dataset", missing) == 1
+        assert str(missing) in capsys.readouterr().err
+        assert not (tmp_path / "run" / "sweep.csv").exists()
+
     def test_sweep_without_model_fails(self, tmp_path):
         cfg = small_config(tmp_path)
         assert run("sweep", "--config", cfg) != 0
@@ -328,6 +359,21 @@ class TestPhaseSpace:
             assert path.exists(), f"missing {path.name}"
             rows = [l for l in path.read_text().splitlines() if not l.startswith("#")]
             assert len(rows) == 100
+
+    @pytest.mark.parametrize(
+        "hbar_values, message",
+        [
+            ([0.1, 0.1000001], "write phasespace_hbar_0p1.csv twice"),
+            ([1.0, 1.0], "write phasespace_hbar_1.csv twice"),
+            ([], "hbar_values must be nonempty"),
+        ],
+        ids=["same-tag", "equal", "empty"],
+    )
+    def test_each_hbar_names_its_own_file(self, tmp_path, capsys, hbar_values, message):
+        cfg = small_config(tmp_path, phasespace={"hbar_values": hbar_values})
+        assert run("phasespace", "--config", cfg, "--oracle") == 1
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("run/phasespace_*"))
 
     def test_degenerate_model_fails_per_hbar(self, tmp_path, capsys):
         cfg = small_config(tmp_path)

@@ -40,10 +40,17 @@ class TestSpecs:
         assert spec.hbar_values[-1] == pytest.approx(1.0)
 
     def test_sweep_rejects_unsorted_or_nonpositive(self):
-        with pytest.raises(ValueError):
-            SweepSpec(hbar_values=np.array([1.0, 0.1]))
-        with pytest.raises(ValueError):
-            SweepSpec(hbar_values=np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="n_points must be >= 1, got 0"):
+            SweepSpec(n_points=0)
+        for bounds in [
+            {"hbar_log10_min": 0.0, "hbar_log10_max": -6.0},  # reversed
+            {"hbar_log10_min": -2.0, "hbar_log10_max": -2.0, "n_points": 2},  # equal
+            {"hbar_log10_min": -400.0, "n_points": 2},  # 10**-400 is 0.0
+        ]:
+            with pytest.raises(ValueError, match="positive and strictly ascending"):
+                SweepSpec(**bounds)
+        one = SweepSpec(hbar_log10_min=-2.0, hbar_log10_max=-2.0, n_points=1)
+        assert one.hbar_values.tolist() == [0.01]
 
     def test_phasespace_rejects_bad_grid(self):
         with pytest.raises(ValueError):

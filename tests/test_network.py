@@ -33,9 +33,9 @@ def random_batch(rng, b=16):
     return rng.normal(size=(b, 4)), rng.normal(size=(b, 4))
 
 
-def own_batchnorm(width, **constants):
+def own_batchnorm(width):
     """A BatchNormLayer over arrays of its own, with identity statistics."""
-    return BatchNormLayer(np.ones(width), np.zeros(width), np.zeros(width), np.ones(width), **constants)
+    return BatchNormLayer(np.ones(width), np.zeros(width), np.zeros(width), np.ones(width))
 
 
 def per_tensor(flat, like):
@@ -92,14 +92,16 @@ class TestForward:
 
     def test_batchnorm_hand_example(self):
         """Batch [0, 2] on one feature: mean 1, biased variance 1, eps 1e-3."""
-        bn = own_batchnorm(1, epsilon=1e-3)
+        bn = own_batchnorm(1)
+        assert bn.epsilon == 1e-3
         out, _ = bn.forward_train(np.array([[0.0], [2.0]]))
         expected = 1.0 / math.sqrt(1.0 + 1e-3)
         assert out[0, 0] == pytest.approx(-expected, rel=1e-12)
         assert out[1, 0] == pytest.approx(+expected, rel=1e-12)
 
     def test_running_statistics_update(self):
-        bn = own_batchnorm(1, momentum=0.99, epsilon=1e-3)
+        bn = own_batchnorm(1)
+        assert (bn.momentum, bn.epsilon) == (0.99, 1e-3)
         bn.forward_train(np.array([[0.0], [2.0]]))
         assert bn.running_mean[0] == pytest.approx(0.01)  # 0.99*0 + 0.01*1
         assert bn.running_var[0] == pytest.approx(1.0)  # 0.99*1 + 0.01*1
@@ -126,9 +128,11 @@ class TestForward:
     def test_batchnorm_infer_identity(self):
         """Fresh statistics scale by 1/sqrt(1+eps); eps=0 is the exact identity."""
         x = np.random.default_rng(4).normal(size=(6, 3))
-        bn = own_batchnorm(3, epsilon=1e-3)
+        bn = own_batchnorm(3)
+        assert bn.epsilon == 1e-3
         assert np.allclose(bn.forward_infer(x), x / math.sqrt(1.0 + 1e-3), rtol=1e-14)
-        bn0 = own_batchnorm(3, epsilon=0.0)
+        bn0 = own_batchnorm(3)
+        bn0.epsilon = 0.0
         assert np.array_equal(bn0.forward_infer(x), x)
 
 
@@ -383,8 +387,8 @@ class TestFlatState:
 
 
 class TestSerialization:
-    def trained_ish_model(self, seed=0):
-        model = init_model(small_spec(hidden=(8, 6)), seed=seed)
+    def trained_ish_model(self, seed=0, spec=None):
+        model = init_model(spec or small_spec(hidden=(8, 6)), seed=seed)
         rng = np.random.default_rng(seed)
         for _ in range(3):  # move parameters and running stats off their defaults
             x, y = random_batch(rng, b=16)
@@ -408,6 +412,21 @@ class TestSerialization:
         save_model(model, p1)
         save_model(load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [small_spec(hidden=(8, 6), batchnorm=False), small_spec(hidden=())],
+        ids=["no-batchnorm", "no-hidden-layer"],
+    )
+    def test_save_load_save_is_byte_identical_for_every_layout(self, tmp_path, spec):
+        p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
+        save_model(self.trained_ish_model(seed=3, spec=spec), p1)
+        save_model(load_model(p1), p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_constant_line_is_compared_by_value(self, tmp_path):
+        path = self.edited_file(tmp_path, "momentum 0.98999999999999999\n", "momentum 0.99\n")
+        assert np.array_equal(load_model(path).state, self.trained_ish_model().state)
 
     def test_truncated_file_is_a_structured_error(self, tmp_path):
         model = self.trained_ish_model()
@@ -448,6 +467,8 @@ class TestSerialization:
             ("input_dim 4\n", "input_dim 0\n", 2),
             ("batchnorm 1\n", "batchnorm 2\n", 2),
             ("momentum 0.98999999999999999\n", "momentum 2\n", 18),
+            ("momentum 0.98999999999999999\n", "momentum 0.9\n", 18),
+            ("epsilon 0.001\n", "epsilon 0\n", 19),
         ],
         ids=[
             "fractional-int",
@@ -458,6 +479,8 @@ class TestSerialization:
             "zero-width",
             "batchnorm-not-0-or-1",
             "momentum-above-1",
+            "momentum-not-0.99",
+            "epsilon-not-0.001",
         ],
     )
     def test_malformed_line_is_named(self, tmp_path, old, new, lineno):
