@@ -214,7 +214,7 @@ class RunConfig:
             init_seed=cfg["network"]["init_seed"],
             train_config=build("training"),
             sweep_spec=build("sweep", cfg=osc),
-            phasespace_spec=build("phasespace"),
+            phasespace_spec=build("phasespace", cfg=osc),
             out_dir=Path(cfg["out_dir"]),
         )
 

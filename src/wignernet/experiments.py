@@ -30,6 +30,31 @@ class DegenerateWidthError(ValueError):
     """Raised when a predicted width is not positive and no Gaussian exists."""
 
 
+def _state_rows(spec, hbars: np.ndarray) -> np.ndarray:
+    """The spec's (x0, p0, sigma_x0) at each hbar, as predictor input rows."""
+    inputs = np.empty((hbars.size, 4))
+    inputs[:, 0] = spec.x0
+    inputs[:, 1] = spec.p0
+    inputs[:, 2] = spec.sigma_x0
+    inputs[:, 3] = hbars
+    return inputs
+
+
+def _overflowing(section: str, spec, hbars: np.ndarray) -> np.ndarray:
+    """Mask of the hbars that are not finite or at which the closed form of the
+    spec's state, under spec.cfg, overflows float64; a nonpositive hbar is left
+    to the caller.  Raises, naming the key, if sigma_x0 is not positive."""
+    if not spec.sigma_x0 > 0:
+        raise ValueError(f"{section}.sigma_x0 must be positive, got {spec.sigma_x0}")
+    usable = np.isfinite(hbars) & (hbars > 0)
+    with np.errstate(over="ignore", invalid="ignore"):  # the overflow is the answer
+        targets, _ = evolve_batch(spec.cfg, _state_rows(spec, np.where(usable, hbars, 1.0)))
+    return ~np.isfinite(hbars) | (usable & ~np.isfinite(targets).all(axis=1))
+
+
+_OVERFLOWS = "where the closed form of the state overflows float64"
+
+
 @dataclass
 class SweepSpec:
     """Fixed initial state swept over n_points log-spaced hbar values, from
@@ -47,7 +72,14 @@ class SweepSpec:
     def __post_init__(self):
         if self.n_points < 1:
             raise ValueError(f"sweep n_points must be >= 1, got {self.n_points}")
-        self.hbar_values = np.logspace(self.hbar_log10_min, self.hbar_log10_max, self.n_points)
+        with np.errstate(over="ignore"):  # 10**400 is inf, named below
+            self.hbar_values = np.logspace(self.hbar_log10_min, self.hbar_log10_max, self.n_points)
+        overflowing = _overflowing("sweep", self, self.hbar_values)
+        if overflowing.any():
+            top = bool(overflowing[-1])  # else only the bottom end overflows
+            key = "hbar_log10_max" if top else "hbar_log10_min"
+            hbar = self.hbar_values[-1 if top else 0]
+            raise ValueError(f"sweep.{key} {getattr(self, key)} gives hbar {hbar:g}, {_OVERFLOWS}")
         if np.any(self.hbar_values <= 0) or np.any(np.diff(self.hbar_values) <= 0):
             raise ValueError("sweep hbar values must be positive and strictly ascending")
 
@@ -60,7 +92,8 @@ def _phase_space_file(hbar: float) -> str:
 
 @dataclass
 class PhaseSpaceSpec:
-    """Fixed initial state evaluated on a square phase-space grid per hbar."""
+    """Fixed initial state evaluated on a square phase-space grid per hbar; cfg
+    is the oscillator whose closed form must be finite at every hbar."""
 
     x0: float = 1.0
     p0: float = 0.0
@@ -69,10 +102,15 @@ class PhaseSpaceSpec:
     grid_min: float = -10.0
     grid_max: float = 10.0
     grid_points: int = 100
+    cfg: OscillatorConfig = field(default_factory=OscillatorConfig)
 
     def __post_init__(self):
         if not self.hbar_values or any(h <= 0 for h in self.hbar_values):
             raise ValueError("hbar_values must be nonempty and strictly positive")
+        overflowing = _overflowing("phasespace", self, np.array(self.hbar_values, dtype=np.float64))
+        if overflowing.any():
+            hbar = self.hbar_values[int(np.argmax(overflowing))]
+            raise ValueError(f"phasespace.hbar_values holds {hbar:g}, {_OVERFLOWS}")
         names = [_phase_space_file(h) for h in self.hbar_values]  # one file per hbar
         if len(set(names)) < len(names):
             twice = max(names, key=names.count)
@@ -138,18 +176,9 @@ def oracle_predictor(cfg: OscillatorConfig) -> Predictor:
     return predict
 
 
-def _sweep_inputs(spec: SweepSpec, hbars: np.ndarray) -> np.ndarray:
-    inputs = np.empty((hbars.size, 4))
-    inputs[:, 0] = spec.x0
-    inputs[:, 1] = spec.p0
-    inputs[:, 2] = spec.sigma_x0
-    inputs[:, 3] = hbars
-    return inputs
-
-
 def hbar_sweep(predict: Predictor, spec: SweepSpec) -> SweepResult:
     """Predicted vs analytical widths over the spec's hbar list."""
-    inputs = _sweep_inputs(spec, spec.hbar_values)
+    inputs = _state_rows(spec, spec.hbar_values)
     preds = np.asarray(predict(inputs), dtype=np.float64)
     analytical, _ = evolve_batch(spec.cfg, inputs)
     sigma_xt_pred = preds[:, 2]
@@ -235,7 +264,7 @@ def convergence_report(
         median_rel = float("nan")
 
     probes = np.logspace(lo - 2.0, lo, 10)
-    probe_preds = np.asarray(predict(_sweep_inputs(spec, probes)), dtype=np.float64)[:, 2]
+    probe_preds = np.asarray(predict(_state_rows(spec, probes)), dtype=np.float64)[:, 2]
     decreasing = bool(probe_preds[0] < probe_preds[-1])
 
     return ConvergenceReport(

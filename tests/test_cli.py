@@ -344,6 +344,19 @@ class TestSweep:
         assert str(missing) in capsys.readouterr().err
         assert not (tmp_path / "run" / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("bounds", [{"hbar_log10_max": 400}, {"hbar_log10_max": 200},
+                                        {"hbar_log10_min": -320}], ids=["inf", "1e200", "1e-320"])
+    def test_hbar_beyond_the_closed_form_fails_naming_its_key(self, tmp_path, capsys, bounds):
+        cfg = small_config(tmp_path)
+        assert run("generate", "--config", cfg) == 0
+        cfg = small_config(tmp_path, sweep=bounds)
+        assert run("sweep", "--config", cfg, "--oracle") == 1
+        err = capsys.readouterr().err
+        (key, value), = bounds.items()
+        assert f"error: sweep.{key} {value} gives hbar" in err
+        assert "overflows float64" in err
+        assert not (tmp_path / "run" / "sweep.csv").exists()
+
     def test_sweep_without_model_fails(self, tmp_path):
         cfg = small_config(tmp_path)
         assert run("sweep", "--config", cfg) != 0
@@ -373,6 +386,17 @@ class TestPhaseSpace:
         cfg = small_config(tmp_path, phasespace={"hbar_values": hbar_values})
         assert run("phasespace", "--config", cfg, "--oracle") == 1
         assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("run/phasespace_*"))
+
+    @pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "model"])
+    def test_hbar_beyond_the_closed_form_fails_naming_its_key(self, tmp_path, capsys, oracle):
+        cfg = small_config(tmp_path, phasespace={"hbar_values": [1.0, 1e300]})
+        save_model(init_model(ArchitectureSpec(), 0), tmp_path / "model.txt")
+        source = ["--oracle"] if oracle else ["--model", tmp_path / "model.txt"]
+        assert run("phasespace", "--config", cfg, *source) == 1
+        err = capsys.readouterr().err
+        assert "error: phasespace.hbar_values holds 1e+300" in err
+        assert "overflows float64" in err
         assert not list(tmp_path.glob("run/phasespace_*"))
 
     def test_degenerate_model_fails_per_hbar(self, tmp_path, capsys):

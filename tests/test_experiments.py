@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +52,29 @@ class TestSpecs:
                 SweepSpec(**bounds)
         one = SweepSpec(hbar_log10_min=-2.0, hbar_log10_max=-2.0, n_points=1)
         assert one.hbar_values.tolist() == [0.01]
+
+    def test_sweep_rejects_hbar_beyond_the_closed_form(self):
+        for bounds, message in [
+            ({"hbar_log10_max": 400.0}, "sweep.hbar_log10_max 400.0 gives hbar inf"),
+            ({"hbar_log10_max": 160.0}, "sweep.hbar_log10_max 160.0 gives hbar 1e+160"),
+            ({"hbar_log10_min": -320.0}, "sweep.hbar_log10_min -320.0 gives hbar"),
+            ({"sigma_x0": 1e-200}, "sweep.hbar_log10_max 0.0 gives hbar 1"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                SweepSpec(**bounds)
+        with pytest.raises(ValueError, match="sweep.sigma_x0 must be positive, got -1"):
+            SweepSpec(sigma_x0=-1.0)
+        # The closed form is finite a little below the overflow: sigma_p0**2 at hbar = 1e150.
+        assert SweepSpec(hbar_log10_max=150.0).hbar_values[-1] == pytest.approx(1e150)
+
+    def test_phasespace_rejects_hbar_beyond_the_closed_form(self):
+        with pytest.raises(ValueError, match=r"phasespace.hbar_values holds 1e\+300, where"):
+            PhaseSpaceSpec(hbar_values=(1.0, 1e300))
+        with pytest.raises(ValueError, match="phasespace.hbar_values holds 9.99989e-321"):
+            PhaseSpaceSpec(hbar_values=(1e-320,))
+        with pytest.raises(ValueError, match="phasespace.sigma_x0 must be positive, got 0"):
+            PhaseSpaceSpec(sigma_x0=0.0)
+        PhaseSpaceSpec(hbar_values=(1e150,))
 
     def test_phasespace_rejects_bad_grid(self):
         with pytest.raises(ValueError):

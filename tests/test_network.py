@@ -9,6 +9,7 @@ import pytest
 
 from gradcheck import grad_check
 from wignernet.network import (
+    INFER_TILE_ROWS,
     Adam,
     ArchitectureSpec,
     BatchNormLayer,
@@ -384,6 +385,53 @@ class TestFlatState:
         for a, b in zip(model.state_arrays(), saved):
             assert np.array_equal(a, b)
         assert dense.weights is weights
+
+
+def reference_forward(model, x):
+    """The inference pass written as one expression per layer, each allocating
+    its result: bias added to a fresh product, ReLU by np.maximum, batchnorm as
+    gamma * (x - running_mean) * inv_std + beta."""
+    for dense, bn in model.blocks:
+        x = np.maximum(x @ dense.weights.T + dense.bias, 0.0)
+        inv_std = 1.0 / np.sqrt(bn.running_var + bn.epsilon)
+        x = bn.gamma * (x - bn.running_mean) * inv_std + bn.beta
+    return x @ model.output_layer.weights.T + model.output_layer.bias
+
+
+@pytest.fixture(scope="module")
+def stock_trained_model():
+    """The stock architecture after 25 steps at B = 64, its running statistics
+    off the identity."""
+    model = init_model(ArchitectureSpec(), seed=1)
+    adam = Adam(model.params, learning_rate=0.0005)
+    rng = np.random.default_rng(1)
+    for _ in range(25):
+        x, y = random_batch(rng, b=64)
+        _, cache = model.forward_train(x)
+        adam.step(model.params, backward(model, cache, y))
+    return model
+
+
+class TestInferencePass:
+    @pytest.mark.parametrize("batch", [1, 64, 1000])
+    def test_forward_matches_the_allocating_reference_bit_for_bit(self, stock_trained_model, batch):
+        model = stock_trained_model
+        for _, bn in model.blocks:
+            assert not np.allclose(bn.running_mean, 0.0) and not np.allclose(bn.running_var, 1.0)
+        x = np.random.default_rng(batch).normal(size=(batch, 4))
+        assert np.array_equal(model.forward(x), reference_forward(model, x))
+
+    @pytest.mark.parametrize("batch", [INFER_TILE_ROWS, INFER_TILE_ROWS + 1, 2 * INFER_TILE_ROWS + 1])
+    def test_each_tile_equals_that_tile_forwarded_alone(self, stock_trained_model, batch):
+        model = stock_trained_model
+        x = np.random.default_rng(batch).normal(size=(batch, 4))
+        x_before = x.copy()
+        out = model.forward(x)
+        assert np.array_equal(x, x_before)
+        assert out.shape == (batch, 4)
+        for start in range(0, batch, INFER_TILE_ROWS):  # the last tile of 1 row runs batchnorm too
+            tile = slice(start, start + INFER_TILE_ROWS)
+            assert np.array_equal(out[tile], model.forward(x[tile])), f"rows from {start}"
 
 
 class TestSerialization:
