@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    CSV_HEADER,
     DatasetFormatError,
     SamplingRanges,
     _read_metadata,
@@ -42,6 +43,7 @@ from .data import (
 from .experiments import (
     PhaseSpaceSpec,
     SweepSpec,
+    _overflowing_rows,
     _phase_space_file,
     convergence_report,
     hbar_sweep,
@@ -92,7 +94,6 @@ _SCHEMA = {
             "patience": "early_stop_patience",
             "learning_rate": "learning_rate",
             "shuffle_seed": "shuffle_seed",
-            "restore_best": "restore_best",
         },
         {},
     ),
@@ -204,9 +205,11 @@ class RunConfig:
             )
 
         osc = build("oscillator")
+        ranges = build("sampling")
+        _check_hbar_range(osc, ranges)
         return cls(
             oscillator=osc,
-            ranges=build("sampling"),
+            ranges=ranges,
             n_samples=cfg["dataset"]["n_samples"],
             data_seed=cfg["dataset"]["seed"],
             split_seed=cfg["dataset"]["split_seed"],
@@ -221,6 +224,23 @@ class RunConfig:
 
 def _from_json(value):
     return tuple(value) if isinstance(value, list) else value
+
+
+def _check_hbar_range(cfg: OscillatorConfig, ranges: SamplingRanges) -> None:
+    """Raise, naming sampling.hbar_log10, unless every hbar it samples is positive
+    and the closed form under cfg is finite over the sampled (sigma_x0, hbar) box,
+    which its corners decide: each term of the closed form is monotone in both."""
+    ends = ranges.hbar_log10_range
+    with np.errstate(over="ignore"):  # 10**400 is inf, named below
+        hbars = 10.0 ** np.array(ends, dtype=np.float64)
+    corners = np.array([[0.0, 0.0, s, h] for s in ranges.sigma_x0_range for h in hbars])
+    bad = _overflowing_rows(cfg, corners).reshape(2, 2).any(axis=0) | (hbars <= 0)
+    if bad.any():
+        end = int(bad[1])  # the top end when both fail
+        raise ValueError(
+            f"sampling.hbar_log10 {('min', 'max')[end]} {ends[end]} gives hbar {hbars[end]:g}, "
+            "where the closed form of a sampled state is not finite in float64"
+        )
 
 
 def _load_run_config(args) -> RunConfig:
@@ -271,7 +291,7 @@ def cmd_generate(args) -> int:
         f"splits: train {splits.train.size}, val {splits.validation.size}, "
         f"test {splits.test.size}"
     )
-    for name, col in zip(("x0", "p0", "sigma_x0", "hbar"), ds.inputs.T):
+    for name, col in zip(CSV_HEADER.split(","), ds.inputs.T):  # zip stops after the inputs
         print(f"  {name}: min {col.min():.6g}, max {col.max():.6g}")
     print(f"negative-variance clamp rate: {clamp_rate:.6g}")
     return 0

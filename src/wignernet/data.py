@@ -37,10 +37,6 @@ class DatasetFormatError(ValueError):
     """Raised when a dataset or split file does not match the expected layout."""
 
 
-class EmptyDatasetError(DatasetFormatError):
-    """Raised when a dataset file contains no data rows."""
-
-
 def _write_text(path: str | os.PathLike, head, rows=()) -> None:
     """Write a text file: the head lines, then the rows, each newline-terminated.
 
@@ -67,8 +63,8 @@ class _TextReader:
     """Reads a file written by _write_text back, line by line in the written order.
 
     Head lines are `label v1 v2 ...`; floats must be finite and integers
-    whole.  Every failure raises the reader's error class, or the one a call
-    names, with the path and the 1-based line.
+    whole.  Every failure raises the reader's error class with the path and
+    the 1-based line.
     """
 
     def __init__(self, path: str | os.PathLike, error: type[ValueError]):
@@ -78,29 +74,29 @@ class _TextReader:
         self.error = error
         self.pos = 0  # lines read so far
 
-    def fail(self, message: str, lineno: int | None = None, error=None) -> NoReturn:
+    def fail(self, message: str, lineno: int | None = None) -> NoReturn:
         """Raise for line `lineno`, by default the last line read."""
-        raise (error or self.error)(f"{self.path}: line {lineno or self.pos}: {message}")
+        raise self.error(f"{self.path}: line {lineno or self.pos}: {message}")
 
-    def line(self, expected: str | None = None, error=None) -> str:
+    def line(self, expected: str | None = None) -> str:
         """The next line, which must equal `expected` when one is given."""
         if self.pos == len(self.lines):
             self.fail("unexpected end of file", self.pos + 1)
         self.pos += 1
         line = self.lines[self.pos - 1]
         if expected is not None and line != expected:
-            self.fail(f"expected {expected!r}, got {line!r}", error=error)
+            self.fail(f"expected {expected!r}, got {line!r}")
         return line
 
-    def values(self, label: str, count: int | None = None, kind=float, error=None) -> np.ndarray:
+    def values(self, label: str, count: int | None = None, kind=float) -> np.ndarray:
         """The values of the next line, `label v1 v2 ...`: exactly `count` of
-        them when a count is given, or `error` is raised."""
+        them when a count is given."""
         line = self.line()
         if line != label and not line.startswith(label + " "):
             self.fail(f"expected a {label!r} line, got {line[:40]!r}")
         tokens = line[len(label) :].split()
         if count is not None and len(tokens) != count:
-            self.fail(f"expected {count} values after {label!r}, got {len(tokens)}", error=error)
+            self.fail(f"expected {count} values after {label!r}, got {len(tokens)}")
         return self._parse(tokens, kind)
 
     def value(self, label: str, kind=float):
@@ -264,14 +260,13 @@ def save_dataset(ds: Dataset, path: str | os.PathLike) -> None:
 def load_dataset(path: str | os.PathLike) -> Dataset:
     """Parse a dataset CSV written by save_dataset.
 
-    Malformed content, including a row the oracle rejects, is reported with
-    its 1-based line number; a file with no data rows raises
-    EmptyDatasetError.  The clamp flags are recomputed from the stored inputs
-    (the oracle is pure, so this is exact).
+    Malformed content, including a row the oracle rejects or the absence of
+    data rows, is reported with its 1-based line number.  The clamp flags are
+    recomputed from the stored inputs (the oracle is pure, so this is exact).
     """
     reader = _TextReader(path, DatasetFormatError)
     if len(reader.lines) <= len(_CONFIG_KEYS) + len(_RANGE_KEYS) + 2:  # + seed and CSV_HEADER
-        raise EmptyDatasetError(f"{path}: line {len(reader.lines) + 1}: no data rows")
+        reader.fail("no data rows", len(reader.lines) + 1)
     cfg, seed, ranges = _read_metadata(reader)
     reader.line(CSV_HEADER)
     first = reader.pos + 1

@@ -26,10 +26,6 @@ from .oscillator import GaussianWigner, OscillatorConfig, evolve_batch, wigner_g
 Predictor = Callable[[np.ndarray], np.ndarray]
 
 
-class DegenerateWidthError(ValueError):
-    """Raised when a predicted width is not positive and no Gaussian exists."""
-
-
 def _state_rows(spec, hbars: np.ndarray) -> np.ndarray:
     """The spec's (x0, p0, sigma_x0) at each hbar, as predictor input rows."""
     inputs = np.empty((hbars.size, 4))
@@ -40,16 +36,23 @@ def _state_rows(spec, hbars: np.ndarray) -> np.ndarray:
     return inputs
 
 
+def _overflowing_rows(cfg: OscillatorConfig, inputs: np.ndarray) -> np.ndarray:
+    """Mask of the (x0, p0, sigma_x0, hbar) rows whose hbar is not finite or at
+    which the closed form under cfg overflows float64; a row whose hbar is not
+    positive is left to the caller.  Every sigma_x0 must be positive."""
+    hbars = inputs[:, 3]
+    usable = np.isfinite(hbars) & (hbars > 0)
+    with np.errstate(all="ignore"):  # the overflow is the answer
+        targets, _ = evolve_batch(cfg, np.where(usable[:, None], inputs, 1.0))
+    return ~np.isfinite(hbars) | (usable & ~np.isfinite(targets).all(axis=1))
+
+
 def _overflowing(section: str, spec, hbars: np.ndarray) -> np.ndarray:
-    """Mask of the hbars that are not finite or at which the closed form of the
-    spec's state, under spec.cfg, overflows float64; a nonpositive hbar is left
-    to the caller.  Raises, naming the key, if sigma_x0 is not positive."""
+    """_overflowing_rows over the spec's state at each hbar, under spec.cfg.
+    Raises, naming the key, if sigma_x0 is not positive."""
     if not spec.sigma_x0 > 0:
         raise ValueError(f"{section}.sigma_x0 must be positive, got {spec.sigma_x0}")
-    usable = np.isfinite(hbars) & (hbars > 0)
-    with np.errstate(over="ignore", invalid="ignore"):  # the overflow is the answer
-        targets, _ = evolve_batch(spec.cfg, _state_rows(spec, np.where(usable, hbars, 1.0)))
-    return ~np.isfinite(hbars) | (usable & ~np.isfinite(targets).all(axis=1))
+    return _overflowing_rows(spec.cfg, _state_rows(spec, hbars))
 
 
 _OVERFLOWS = "where the closed form of the state overflows float64"
@@ -202,10 +205,10 @@ def phase_space_grids(predict: Predictor, spec: PhaseSpaceSpec) -> list[PhaseSpa
     and maximum.  peak_value is the Gaussian evaluated at the predicted
     center, 1/(pi hbar) exactly.
     """
+    inputs = _state_rows(spec, np.array(spec.hbar_values, dtype=np.float64))
     results = []
-    for hbar in spec.hbar_values:
-        inputs = np.array([[spec.x0, spec.p0, spec.sigma_x0, hbar]])
-        pred = np.asarray(predict(inputs), dtype=np.float64)[0]
+    for k, hbar in enumerate(spec.hbar_values):  # (1, 4) batches: a wider one may move last bits
+        pred = np.asarray(predict(inputs[k : k + 1]), dtype=np.float64)[0]
         xt, pt, sigma_xt, sigma_pt = pred
         if sigma_xt <= 0 or sigma_pt <= 0:
             results.append(
@@ -298,7 +301,7 @@ def save_phase_space(result: PhaseSpaceResult, path: str | os.PathLike) -> None:
     Row i of the matrix corresponds to p_axis[i], column j to x_axis[j].
     """
     if result.error is not None:
-        raise DegenerateWidthError(result.error)
+        raise ValueError(result.error)
     xt, pt, sigma_xt, sigma_pt = result.prediction
     head = [
         ("# hbar", [result.hbar]),

@@ -47,14 +47,6 @@ class ModelFormatError(ValueError):
     """Raised when a model file cannot be parsed."""
 
 
-class ModelVersionError(ModelFormatError):
-    """Raised when a model file declares an unknown format version."""
-
-
-class ModelShapeError(ModelFormatError):
-    """Raised when stored tensors disagree with the declared architecture."""
-
-
 @dataclass
 class ArchitectureSpec:
     """Layer widths and options; the defaults give 4-128-256-256-128-4."""
@@ -402,10 +394,10 @@ def load_model(path) -> MlpModel:
     """Parse a file written by save_model; every parameter is restored bit-exactly.
 
     After the header, the lines must be those save_model writes for its architecture,
-    momentum and epsilon equal in value; a layer line that differs raises ModelShapeError.
+    momentum and epsilon equal in value; a line that differs raises ModelFormatError.
     """
     reader = _TextReader(path, ModelFormatError)
-    reader.line(MODEL_FILE_MAGIC, error=ModelVersionError)
+    reader.line(MODEL_FILE_MAGIC)
     with reader.group():
         spec = ArchitectureSpec(
             input_dim=reader.value("input_dim", int),
@@ -416,11 +408,11 @@ def load_model(path) -> MlpModel:
     model = MlpModel(spec, init_seed=reader.value("init_seed", int))
     for line in itertools.islice(_model_lines(model), reader.pos, None):  # past the header
         if isinstance(line, str):
-            reader.line(line, error=ModelShapeError)
+            reader.line(line)
             continue
         label, values = line
         if isinstance(values, np.ndarray):
-            values[...] = reader.values(label, values.size, error=ModelShapeError)
+            values[...] = reader.values(label, values.size)
         elif (value := reader.value(label)) != values[0]:
             reader.fail(f"{label} must be {values[0]}, got {value}")
     reader.done()

@@ -6,9 +6,8 @@ order (a trailing batch of one row is dropped because batch normalization
 needs at least two), and the epoch training loss is the batch-size-weighted
 mean of the per-batch losses seen during the epoch.  Validation always runs
 in inference mode.  Early stopping counts epochs since the last strict
-improvement of the validation loss; when patience runs out the model is
-rolled back to the best epoch's full state (parameters and running
-statistics) if restore_best is set.
+improvement of the validation loss; when training ends the model is rolled
+back to the best epoch's full state (parameters and running statistics).
 """
 
 from __future__ import annotations
@@ -23,17 +22,6 @@ from .experiments import Predictor
 from .network import Adam, MlpModel, backward, mse_loss
 
 
-class NonFiniteLossError(RuntimeError):
-    """Raised when a training batch produces a NaN or infinite loss."""
-
-    def __init__(self, loss: float, epoch: int, batch_index: int):
-        super().__init__(
-            f"non-finite training loss {loss} at epoch {epoch}, batch {batch_index}; aborting"
-        )
-        self.epoch = epoch
-        self.batch_index = batch_index
-
-
 @dataclass
 class TrainConfig:
     max_epochs: int = 1000
@@ -41,7 +29,6 @@ class TrainConfig:
     early_stop_patience: int = 20
     learning_rate: float = 0.0005
     shuffle_seed: int = 3
-    restore_best: bool = True
 
     def __post_init__(self):
         if self.max_epochs < 1:
@@ -111,7 +98,9 @@ def train(
             out, cache = model.forward_train(dataset.inputs[batch])
             loss = mse_loss(out, dataset.targets[batch])
             if not np.isfinite(loss):
-                raise NonFiniteLossError(loss, epoch, batch_index)
+                raise RuntimeError(
+                    f"non-finite training loss {loss} at epoch {epoch}, batch {batch_index}; aborting"
+                )
             grads = backward(model, cache, dataset.targets[batch])
             adam.step(model.params, grads)
             loss_sum += loss * batch.size
@@ -127,21 +116,20 @@ def train(
             best_val = val_loss
             report.best_epoch = epoch
             epochs_since_best = 0
-            if config.restore_best:
-                best_snapshot = model.snapshot()
+            best_snapshot = model.snapshot()
         else:
             epochs_since_best += 1
             if epochs_since_best >= config.early_stop_patience:
                 break
 
-    if config.restore_best and best_snapshot is not None:
+    if best_snapshot is not None:  # None when no validation loss was a number
         model.restore(best_snapshot)
         report.final_val_loss = best_val
     else:
         report.final_val_loss = report.val_loss_per_epoch[-1]
     report.final_train_loss = report.train_loss_per_epoch[-1]
 
-    if splits.test is not None and np.asarray(splits.test).size > 0:
+    if np.asarray(splits.test).size > 0:
         report.test_loss, report.per_output_test_mse = evaluate(model.forward, dataset, splits.test)
     return model, report
 

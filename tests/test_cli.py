@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,8 @@ import pytest
 from wignernet.cli import _FLAGS, build_parser, default_config, main
 from wignernet.data import load_dataset, load_splits
 from wignernet.network import ArchitectureSpec, init_model, save_model
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(*argv):
@@ -37,8 +40,7 @@ def small_config(tmp_path, **overrides):
 
 class TestConfig:
     def test_readme_json_block_is_the_default_config(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-        block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        block = README.read_text(encoding="utf-8").split("```json\n", 1)[1].split("```", 1)[0]
         assert json.loads(block) == default_config()
 
     @pytest.mark.parametrize(
@@ -84,11 +86,11 @@ class TestConfig:
             ("sampling.x0", [float("-inf"), 5], "a list of 2 finite numbers"),
             ("sampling.x0", [-5, 0, 5], "a list of 2 finite numbers"),
             ("phasespace.hbar_values", 1.0, "a list of finite numbers"),
-            ("training.restore_best", "no", "true, false, 0 or 1"),
+            ("network.batchnorm", "no", "true, false, 0 or 1"),
             ("out_dir", 5, "a string"),
         ],
         ids=["t-string", "t-null", "t-true", "omega-infinite", "x0-infinite-bound",
-             "x0-three-values", "hbar_values-scalar", "restore_best-string", "out_dir-int"],
+             "x0-three-values", "hbar_values-scalar", "batchnorm-string", "out_dir-int"],
     )
     def test_value_must_have_its_defaults_json_type(self, tmp_path, capsys, key, value, expected):
         cfg = tmp_path / "bad.json"
@@ -96,6 +98,12 @@ class TestConfig:
         assert run("generate", "--config", cfg, "--out-dir", tmp_path / "run") == 1
         message = f"config key {key!r} must be {expected}, got {value!r}"
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_restore_best_is_not_a_key(self, tmp_path, capsys):
+        cfg = tmp_path / "old.json"
+        cfg.write_text(json.dumps(nested("training.restore_best", True)))
+        assert run("train", "--config", cfg, "--out-dir", tmp_path / "run") == 1
+        assert capsys.readouterr().err == "error: unknown config key 'training.restore_best'\n"
 
     def test_float_keys_take_integers_and_batchnorm_takes_0_or_1(self, tmp_path):
         cfg = small_config(tmp_path, oscillator={"t": 5, "m": 1}, network={"batchnorm": 0},
@@ -147,6 +155,14 @@ def merged(cfg, override):
 
 
 class TestFlags:
+    def test_readme_flag_table_is_the_flags(self):
+        table = {}
+        for line in README.read_text(encoding="utf-8").splitlines():
+            if line.startswith("| `--"):
+                flag, key, takes = (re.findall(r"`([^`]+)`", cell) for cell in line.split("|")[1:4])
+                table[flag[0]] = (key[0], tuple(takes) if takes else tuple(COMMAND_FLAGS))
+        assert list(table.items()) == list(_FLAGS.items())
+
     def test_every_flag_names_a_config_key(self):
         for flag, (key, _) in _FLAGS.items():
             node = default_config()
@@ -240,6 +256,21 @@ class TestGenerate:
         blocker.write_text("a file, not a directory")
         cfg = small_config(tmp_path, out_dir=str(blocker / "sub"))
         assert run("generate", "--config", cfg) != 0
+
+    @pytest.mark.parametrize(
+        "bounds, end",
+        [([150, 200], "max 200 gives hbar 1e+200"), ([-400, -300], "min -400 gives hbar 0"),
+         ([-6, 400], "max 400 gives hbar inf")],
+        ids=["1e200", "0", "inf"],
+    )
+    def test_hbar_range_beyond_the_closed_form_fails_naming_its_key(
+        self, tmp_path, capsys, bounds, end
+    ):
+        cfg = small_config(tmp_path, dataset={"n_samples": 20}, sampling={"hbar_log10": bounds})
+        assert run("generate", "--config", cfg) == 1
+        tail = "where the closed form of a sampled state is not finite in float64"
+        assert capsys.readouterr().err == f"error: sampling.hbar_log10 {end}, {tail}\n"
+        assert not (tmp_path / "run" / "dataset.csv").exists()
 
     def test_unknown_config_key_fails(self, tmp_path):
         path = tmp_path / "config.json"

@@ -9,7 +9,6 @@ from wignernet.data import (
     CSV_HEADER,
     Dataset,
     DatasetFormatError,
-    EmptyDatasetError,
     SamplingRanges,
     build_dataset,
     load_dataset,
@@ -268,8 +267,9 @@ class TestDatasetRoundTrip:
     def test_empty_file_raises_distinct_error(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
-        with pytest.raises(EmptyDatasetError):
+        with pytest.raises(DatasetFormatError) as excinfo:
             load_dataset(path)
+        assert str(excinfo.value) == f"{path}: line 1: no data rows"
 
     def test_header_only_file_raises_distinct_error(self, tmp_path):
         ds = self.make_dataset()
@@ -277,8 +277,9 @@ class TestDatasetRoundTrip:
         save_dataset(ds, path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:9]) + "\n")  # metadata + header, no rows
-        with pytest.raises(EmptyDatasetError):
+        with pytest.raises(DatasetFormatError) as excinfo:
             load_dataset(path)
+        assert str(excinfo.value) == f"{path}: line 10: no data rows"
 
     def test_wrong_header_rejected(self, tmp_path):
         ds = self.make_dataset()

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from wignernet.experiments import (
-    DegenerateWidthError,
     PhaseSpaceSpec,
     SweepSpec,
     convergence_report,
@@ -212,5 +211,7 @@ class TestCsvOutputs:
 
     def test_saving_degenerate_result_raises(self, tmp_path):
         res = phase_space_grids(constant_predictor((0, 0, -1, 1)), PhaseSpaceSpec())[0]
-        with pytest.raises(DegenerateWidthError):
+        message = "degenerate prediction at hbar=1: sigma_xt=-1, sigma_pt=1 (must be positive)"
+        with pytest.raises(ValueError, match=re.escape(message)):
             save_phase_space(res, tmp_path / "never.csv")
+        assert not (tmp_path / "never.csv").exists()

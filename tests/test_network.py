@@ -16,8 +16,6 @@ from wignernet.network import (
     DenseLayer,
     MlpModel,
     ModelFormatError,
-    ModelShapeError,
-    ModelVersionError,
     backward,
     init_model,
     load_model,
@@ -492,8 +490,10 @@ class TestSerialization:
         lines = path.read_text().splitlines()
         lines[0] = "wignernet model v999"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ModelVersionError):
+        with pytest.raises(ModelFormatError) as excinfo:
             load_model(path)
+        expected = "line 1: expected 'wignernet model v1', got 'wignernet model v999'"
+        assert str(excinfo.value) == f"{path}: {expected}"
 
     def edited_file(self, tmp_path, old, new):
         """A saved model file with the text `old` replaced by `new`."""
@@ -547,8 +547,11 @@ class TestSerialization:
         ids=["block-dense", "block-batchnorm", "output-dense"],
     )
     def test_layer_shape_line_must_match_the_architecture(self, tmp_path, old, new, lineno):
-        with pytest.raises(ModelShapeError, match=f"line {lineno}: "):
-            load_model(self.edited_file(tmp_path, old, new))
+        path = self.edited_file(tmp_path, old, new)
+        with pytest.raises(ModelFormatError) as excinfo:
+            load_model(path)
+        expected = f"line {lineno}: expected {old.strip()!r}, got {new.strip()!r}"
+        assert str(excinfo.value) == f"{path}: {expected}"
 
     @pytest.mark.parametrize(
         "label, value, lineno",
@@ -572,5 +575,7 @@ class TestSerialization:
         assert lines[2] == "hidden_dims 8 6"
         lines[2] = "hidden_dims 16 6"  # stored matrices are still 8 wide
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ModelShapeError):
+        with pytest.raises(ModelFormatError) as excinfo:
             load_model(path)
+        expected = "line 7: expected 'block 0 dense 16 4', got 'block 0 dense 8 4'"
+        assert str(excinfo.value) == f"{path}: {expected}"

@@ -9,7 +9,6 @@ from wignernet.data import Dataset, SamplingRanges, SplitIndices, split_indices
 from wignernet.network import ArchitectureSpec, init_model, mse_loss
 from wignernet.oscillator import OscillatorConfig
 from wignernet.training import (
-    NonFiniteLossError,
     TrainConfig,
     TrainReport,
     evaluate,
@@ -59,7 +58,6 @@ class TestTrainConfig:
         assert tc.batch_size == 64
         assert tc.early_stop_patience == 20
         assert tc.learning_rate == 0.0005
-        assert tc.restore_best
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
@@ -141,6 +139,19 @@ class TestTrainLoop:
         )
         assert val_loss == pytest.approx(report.final_val_loss, rel=1e-12)
 
+    def test_no_finite_validation_loss_restores_nothing(self):
+        ds = affine_dataset(n=40, seed=5)
+        splits = split_indices(40, seed=5)
+        ds.targets[splits.validation] = np.nan
+        config = TrainConfig(
+            max_epochs=10, batch_size=16, early_stop_patience=3, learning_rate=0.02, shuffle_seed=6
+        )
+        _, report = train(tiny_model(seed=5), ds, splits, config)
+        assert (report.stopped_epoch, report.best_epoch) == (3, 0)
+        assert np.isnan(report.final_val_loss)  # the last epoch's, not a best one's
+        assert report.final_train_loss == report.train_loss_per_epoch[-1]
+        assert np.isfinite(report.test_loss)
+
     def test_deterministic_given_seeds(self):
         ds = affine_dataset(n=80, seed=6)
         splits = split_indices(80, seed=6)
@@ -175,8 +186,9 @@ class TestTrainLoop:
         config = TrainConfig(
             max_epochs=5, batch_size=30, early_stop_patience=5, learning_rate=0.01, shuffle_seed=9
         )
-        with pytest.raises(NonFiniteLossError, match="epoch 1"):
+        with pytest.raises(RuntimeError) as excinfo:
             train(tiny_model(seed=8), ds, splits, config)
+        assert str(excinfo.value) == "non-finite training loss nan at epoch 1, batch 0; aborting"
 
     def test_rejects_undersized_training_split(self):
         ds = affine_dataset(n=20, seed=9)
