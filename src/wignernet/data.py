@@ -43,20 +43,23 @@ def _write_text(path: str | os.PathLike, head, rows=()) -> None:
     A head line is a string, written as it is, or a (label, values) pair,
     written as the label and the values joined by spaces.  A row is a sequence
     of values joined by commas.  Values are written with 17 significant
-    digits, which round-trips 64-bit floats exactly.
+    digits, which round-trips 64-bit floats exactly: one `%.17g` call per
+    line, the same conversion and bytes as f"{v:.17g}" per value.
     """
 
-    def digits(values):
-        return (f"{v:.17g}" for v in values)
+    def fields(values) -> tuple:  # as Python numbers, the operand of one % call
+        return tuple(values.tolist() if isinstance(values, np.ndarray) else values)
 
     with open(path, "w", encoding="utf-8") as fh:
         for line in head:
             if not isinstance(line, str):
                 label, values = line
-                line = " ".join([label, *digits(values)])
+                values = fields(values)
+                line = label + (" %.17g" * len(values)) % values
             fh.write(line + "\n")
         for row in rows:
-            fh.write(",".join(digits(row)) + "\n")
+            row = fields(row)
+            fh.write(",".join(["%.17g"] * len(row)) % row + "\n")
 
 
 class _TextReader:

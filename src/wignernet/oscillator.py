@@ -27,6 +27,7 @@ in 64-bit floating point, with m = omega = 1 style dimensionless units.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,17 @@ class OscillatorConfig:
             raise ValueError(f"angular frequency must be positive, got {self.omega}")
         if not self.t >= 0:
             raise ValueError(f"evolution time must be nonnegative, got {self.t}")
+        m, w = float(self.m), float(self.omega)
+        for fault, term, value in (
+            (f"oscillator.m {m} gives", "m**2", m * m),
+            (f"oscillator.omega {w} gives", "omega**2", w * w),
+            (f"oscillator.m {m} and oscillator.omega {w} give", "m**2 * omega**2", m * m * (w * w)),
+        ):
+            if not 0 < value < math.inf:  # else m * omega, the other divisor, is fine too
+                raise ValueError(
+                    f"{fault} {term} = {value:g} in float64, where the closed form "
+                    "divides by a positive finite m**2 * omega**2"
+                )
 
 
 class _RowError(ValueError):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -271,6 +272,38 @@ class TestGenerate:
         tail = "where the closed form of a sampled state is not finite in float64"
         assert capsys.readouterr().err == f"error: sampling.hbar_log10 {end}, {tail}\n"
         assert not (tmp_path / "run" / "dataset.csv").exists()
+
+    def test_sampled_mean_beyond_float64_fails_naming_its_keys(self, tmp_path, capsys):
+        big = {"x0": [1e308, 1.7e308], "p0": [1e308, 1.7e308]}
+        cfg = small_config(tmp_path, dataset={"n_samples": 20}, sampling=big)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("generate", "--config", cfg) == 1
+        assert caught == []
+        assert capsys.readouterr().err == (
+            "error: sampling.x0 max 1.7e+308 with sampling.p0 min 1e+308 "
+            "gives a state whose evolved mean is not finite in float64\n"
+        )
+        assert not (tmp_path / "run" / "dataset.csv").exists()
+
+    @pytest.mark.parametrize(
+        "oscillator, fault",
+        [({"m": 1e-300}, "oscillator.m 1e-300 gives m**2 = 0"),
+         ({"omega": 1e200}, "oscillator.omega 1e+200 gives omega**2 = inf"),
+         ({"m": 1e-160, "omega": 1e-160},
+          "oscillator.m 1e-160 and oscillator.omega 1e-160 give m**2 * omega**2 = 0")],
+        ids=["m", "omega", "both"],
+    )
+    def test_oscillator_scale_beyond_float64_fails_naming_its_key(
+        self, tmp_path, capsys, oscillator, fault
+    ):
+        cfg = small_config(tmp_path, dataset={"n_samples": 20}, oscillator=oscillator)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("generate", "--config", cfg) == 1
+        assert caught == []
+        tail = "in float64, where the closed form divides by a positive finite m**2 * omega**2"
+        assert capsys.readouterr().err == f"error: {fault} {tail}\n"
 
     def test_unknown_config_key_fails(self, tmp_path):
         path = tmp_path / "config.json"

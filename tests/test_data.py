@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from wignernet.data import (
     Dataset,
     DatasetFormatError,
     SamplingRanges,
+    _write_text,
     build_dataset,
     load_dataset,
     load_splits,
@@ -18,6 +21,7 @@ from wignernet.data import (
     save_splits,
     split_indices,
 )
+from wignernet.network import ArchitectureSpec, _model_lines, init_model
 from wignernet.oscillator import OscillatorConfig, evolve_batch
 
 CFG = OscillatorConfig()
@@ -321,3 +325,70 @@ class TestSplitRoundTrip:
         path.write_text(path.read_text() + row + "\n")
         with pytest.raises(DatasetFormatError, match="line 12: expected index 10"):
             load_splits(path)
+
+
+def reference_write_text(path, head, rows=()):
+    """_write_text as one f"{v:.17g}" per value, the form its files were first written in."""
+
+    def digits(values):
+        return (f"{v:.17g}" for v in values)
+
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in head:
+            if not isinstance(line, str):
+                label, values = line
+                line = " ".join([label, *digits(values)])
+            fh.write(line + "\n")
+        for row in rows:
+            fh.write(",".join(digits(row)) + "\n")
+
+
+# Extremes, signed zeros, values that need all 17 digits, and the non-finite
+# values a sweep's rel_err column can hold.
+EDGE = [
+    5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, 0.0, -0.0,
+    1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3, -2 / 3 * 1e-300, math.pi,
+    1e16, 1e17, 123456789012345678.0, 9007199254740993.0, 0.30000000000000004,
+    math.nan, math.inf, -math.inf,
+]
+# Doubles of random bits: every exponent, most needing all 17 digits.
+BITS = np.random.default_rng(3).integers(0, 2**64, 400, dtype=np.uint64).view(np.float64)
+
+
+class TestWriteText:
+    """_write_text writes the bytes of the per-value reference writer."""
+
+    def assert_same_bytes(self, tmp_path, head, make_rows=tuple):
+        """Both writers on the same head and on rows from make_rows(), which may be one-shot."""
+        _write_text(tmp_path / "a.txt", head, make_rows())
+        reference_write_text(tmp_path / "b.txt", head, make_rows())
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+    def test_edge_and_random_floats(self, tmp_path):
+        head = [("# edge", EDGE), ("# edge array", np.array(EDGE)), ("# bits", BITS)]
+        self.assert_same_bytes(tmp_path, head, lambda: BITS.reshape(-1, 8))
+
+    def test_numpy_scalars_ints_and_an_empty_list(self, tmp_path):
+        head = [
+            "a line as it is",
+            ("# float64", [np.float64(v) for v in EDGE]),
+            ("# ints", [0, -7, 2**53 + 1, 10**20, np.int64(5), np.int64(-(2**62)), np.uint8(3)]),
+            ("# int array", np.arange(-3, 4)),
+            ("# empty", []),
+            ("# empty array", np.array([])),
+        ]
+        self.assert_same_bytes(tmp_path, head)
+        assert (tmp_path / "a.txt").read_text().splitlines()[-2:] == ["# empty", "# empty array"]
+
+    def test_zip_rows_and_a_2d_array(self, tmp_path):
+        columns = [np.array(EDGE), np.array(EDGE[::-1]), np.arange(len(EDGE)) * 0.1]
+        self.assert_same_bytes(tmp_path, ["a,b,c"], lambda: zip(*columns))  # as save_sweep
+        history = (range(1, 4), [0.5, 1 / 3, 5e-324], [np.float64(0.25), np.nan, 1e300])
+        self.assert_same_bytes(tmp_path, ["epoch,x,y"], lambda: zip(*history))  # as save_report
+        self.assert_same_bytes(tmp_path, [], lambda: BITS.reshape(-1, 20))
+
+    def test_stock_architecture_model_lines(self, tmp_path):
+        model = init_model(ArchitectureSpec(), 1)
+        model.state[:] = np.random.default_rng(4).standard_normal(model.state.size)
+        lines = list(_model_lines(model))
+        self.assert_same_bytes(tmp_path, lines)
