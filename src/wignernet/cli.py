@@ -43,7 +43,6 @@ from .data import (
 from .experiments import (
     PhaseSpaceSpec,
     SweepSpec,
-    _overflowing_rows,
     _phase_space_file,
     convergence_report,
     hbar_sweep,
@@ -205,11 +204,9 @@ class RunConfig:
             )
 
         osc = build("oscillator")
-        ranges = build("sampling")
-        _check_sampled_box(osc, ranges)
         return cls(
             oscillator=osc,
-            ranges=ranges,
+            ranges=build("sampling"),
             n_samples=cfg["dataset"]["n_samples"],
             data_seed=cfg["dataset"]["seed"],
             split_seed=cfg["dataset"]["split_seed"],
@@ -217,43 +214,13 @@ class RunConfig:
             init_seed=cfg["network"]["init_seed"],
             train_config=build("training"),
             sweep_spec=build("sweep", cfg=osc),
-            phasespace_spec=build("phasespace", cfg=osc),
+            phasespace_spec=build("phasespace"),
             out_dir=Path(cfg["out_dir"]),
         )
 
 
 def _from_json(value):
     return tuple(value) if isinstance(value, list) else value
-
-
-_ENDS = ("min", "max")
-
-
-def _check_sampled_box(cfg: OscillatorConfig, ranges: SamplingRanges) -> None:
-    """Raise, naming the sampling key and end at fault, unless every hbar it samples
-    is positive and the closed form under cfg is finite over the whole sampled box,
-    which its corners decide: each width term is monotone in sigma_x0 and hbar, and
-    the mean (xt, pt) is linear in x0 and p0 and independent of the widths."""
-    ends = ranges.hbar_log10_range
-    with np.errstate(over="ignore"):  # 10**400 is inf, named below
-        hbars = 10.0 ** np.array(ends, dtype=np.float64)
-    corners = np.array([[0.0, 0.0, s, h] for s in ranges.sigma_x0_range for h in hbars])
-    bad = _overflowing_rows(cfg, corners).reshape(2, 2).any(axis=0) | (hbars <= 0)
-    if bad.any():
-        end = int(bad[1])  # the top end when both fail
-        raise ValueError(
-            f"sampling.hbar_log10 {_ENDS[end]} {ends[end]} gives hbar {hbars[end]:g}, "
-            "where the closed form of a sampled state is not finite in float64"
-        )
-    x0s, p0s = ranges.x0_range, ranges.p0_range
-    corners = np.array([[x, p, *corners[0, 2:]] for x in x0s for p in p0s])
-    bad = _overflowing_rows(cfg, corners)
-    if bad.any():
-        i, j = divmod(int(np.argmax(bad)), 2)
-        raise ValueError(
-            f"sampling.x0 {_ENDS[i]} {x0s[i]} with sampling.p0 {_ENDS[j]} {p0s[j]} "
-            "gives a state whose evolved mean is not finite in float64"
-        )
 
 
 def _load_run_config(args) -> RunConfig:

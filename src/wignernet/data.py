@@ -21,7 +21,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .oscillator import OscillatorConfig, _RowError, evolve_batch
+from .oscillator import OscillatorConfig, _RowError, check_domain, evolve_batch
 
 CSV_HEADER = "x0,p0,sigma_x0,hbar,xt,pt,sigma_xt,sigma_pt"
 SPLIT_HEADER = "index,split"
@@ -162,10 +162,10 @@ class SamplingRanges:
     def __post_init__(self):
         for name in _RANGE_KEYS:
             lo, hi = getattr(self, name)
+            key = name.removesuffix("_range")
+            check_domain((f"sampling.{key} min", key, lo), (f"sampling.{key} max", key, hi))
             if not lo <= hi:
                 raise ValueError(f"{name} must satisfy min <= max, got ({lo}, {hi})")
-        if not self.sigma_x0_range[0] > 0:
-            raise ValueError(f"sigma_x0_range must be positive, got {self.sigma_x0_range}")
 
 
 @dataclass
@@ -287,14 +287,17 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
 
 def _read_metadata(reader: _TextReader) -> tuple[OscillatorConfig, int, SamplingRanges]:
     """The oscillator settings, seed and sampling ranges on a dataset's `#` lines."""
-    with reader.group():
-        cfg = OscillatorConfig(**{k: reader.value(f"# {k}") for k in _CONFIG_KEYS})
+    osc, ranges = {}, {}
+    for k in _CONFIG_KEYS:
+        with reader.group():  # each line is checked as read, the fields after it at their defaults
+            osc[k] = reader.value(f"# {k}")
+            cfg = OscillatorConfig(**osc)
     seed = reader.value("# seed", int)
-    with reader.group():
-        ranges = SamplingRanges(
-            **{k: tuple(reader.values(f"# {k}", 2).tolist()) for k in _RANGE_KEYS}
-        )
-    return cfg, seed, ranges
+    for k in _RANGE_KEYS:
+        with reader.group():
+            ranges[k] = tuple(reader.values(f"# {k}", 2).tolist())
+            sampled = SamplingRanges(**ranges)
+    return cfg, seed, sampled
 
 
 def save_splits(splits: SplitIndices, path: str | os.PathLike) -> None:

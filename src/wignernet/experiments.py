@@ -21,7 +21,9 @@ from typing import Callable
 import numpy as np
 
 from .data import _write_text
-from .oscillator import GaussianWigner, OscillatorConfig, evolve_batch, wigner_grid, wigner_value
+from .oscillator import (
+    GaussianWigner, OscillatorConfig, check_domain, evolve_batch, wigner_grid, wigner_value
+)
 
 Predictor = Callable[[np.ndarray], np.ndarray]
 
@@ -34,28 +36,6 @@ def _state_rows(spec, hbars: np.ndarray) -> np.ndarray:
     inputs[:, 2] = spec.sigma_x0
     inputs[:, 3] = hbars
     return inputs
-
-
-def _overflowing_rows(cfg: OscillatorConfig, inputs: np.ndarray) -> np.ndarray:
-    """Mask of the (x0, p0, sigma_x0, hbar) rows whose hbar is not finite or at
-    which the closed form under cfg overflows float64; a row whose hbar is not
-    positive is left to the caller.  Every sigma_x0 must be positive."""
-    hbars = inputs[:, 3]
-    usable = np.isfinite(hbars) & (hbars > 0)
-    with np.errstate(all="ignore"):  # the overflow is the answer
-        targets, _ = evolve_batch(cfg, np.where(usable[:, None], inputs, 1.0))
-    return ~np.isfinite(hbars) | (usable & ~np.isfinite(targets).all(axis=1))
-
-
-def _overflowing(section: str, spec, hbars: np.ndarray) -> np.ndarray:
-    """_overflowing_rows over the spec's state at each hbar, under spec.cfg.
-    Raises, naming the key, if sigma_x0 is not positive."""
-    if not spec.sigma_x0 > 0:
-        raise ValueError(f"{section}.sigma_x0 must be positive, got {spec.sigma_x0}")
-    return _overflowing_rows(spec.cfg, _state_rows(spec, hbars))
-
-
-_OVERFLOWS = "where the closed form of the state overflows float64"
 
 
 @dataclass
@@ -75,16 +55,14 @@ class SweepSpec:
     def __post_init__(self):
         if self.n_points < 1:
             raise ValueError(f"sweep n_points must be >= 1, got {self.n_points}")
-        with np.errstate(over="ignore"):  # 10**400 is inf, named below
-            self.hbar_values = np.logspace(self.hbar_log10_min, self.hbar_log10_max, self.n_points)
-        overflowing = _overflowing("sweep", self, self.hbar_values)
-        if overflowing.any():
-            top = bool(overflowing[-1])  # else only the bottom end overflows
-            key = "hbar_log10_max" if top else "hbar_log10_min"
-            hbar = self.hbar_values[-1 if top else 0]
-            raise ValueError(f"sweep.{key} {getattr(self, key)} gives hbar {hbar:g}, {_OVERFLOWS}")
-        if np.any(self.hbar_values <= 0) or np.any(np.diff(self.hbar_values) <= 0):
-            raise ValueError("sweep hbar values must be positive and strictly ascending")
+        check_domain(
+            *((f"sweep.{k}", k, getattr(self, k)) for k in ("x0", "p0", "sigma_x0")),
+            ("sweep.hbar_log10_min", "hbar_log10", self.hbar_log10_min),
+            ("sweep.hbar_log10_max", "hbar_log10", self.hbar_log10_max),
+        )
+        self.hbar_values = np.logspace(self.hbar_log10_min, self.hbar_log10_max, self.n_points)
+        if np.any(np.diff(self.hbar_values) <= 0):
+            raise ValueError("sweep hbar values must be strictly ascending")
 
 
 def _phase_space_file(hbar: float) -> str:
@@ -95,8 +73,7 @@ def _phase_space_file(hbar: float) -> str:
 
 @dataclass
 class PhaseSpaceSpec:
-    """Fixed initial state evaluated on a square phase-space grid per hbar; cfg
-    is the oscillator whose closed form must be finite at every hbar."""
+    """Fixed initial state evaluated on a square phase-space grid per hbar."""
 
     x0: float = 1.0
     p0: float = 0.0
@@ -105,21 +82,20 @@ class PhaseSpaceSpec:
     grid_min: float = -10.0
     grid_max: float = 10.0
     grid_points: int = 100
-    cfg: OscillatorConfig = field(default_factory=OscillatorConfig)
 
     def __post_init__(self):
-        if not self.hbar_values or any(h <= 0 for h in self.hbar_values):
-            raise ValueError("hbar_values must be nonempty and strictly positive")
-        overflowing = _overflowing("phasespace", self, np.array(self.hbar_values, dtype=np.float64))
-        if overflowing.any():
-            hbar = self.hbar_values[int(np.argmax(overflowing))]
-            raise ValueError(f"phasespace.hbar_values holds {hbar:g}, {_OVERFLOWS}")
+        if not self.hbar_values:
+            raise ValueError("hbar_values must be nonempty")
+        check_domain(
+            *((f"phasespace.{k}", k, getattr(self, k)) for k in ("x0", "p0", "sigma_x0")),
+            *(("phasespace.hbar_values", "hbar", h) for h in self.hbar_values),
+            ("phasespace.grid_min", "grid", self.grid_min),
+            ("phasespace.grid_max", "grid", self.grid_max),
+        )
         names = [_phase_space_file(h) for h in self.hbar_values]  # one file per hbar
         if len(set(names)) < len(names):
             twice = max(names, key=names.count)
             raise ValueError(f"hbar_values {list(self.hbar_values)} write {twice} twice")
-        if not (np.isfinite(self.grid_min) and np.isfinite(self.grid_max)):
-            raise ValueError("grid bounds must be finite")
         if not self.grid_min < self.grid_max:
             raise ValueError(f"grid_min must be below grid_max, got [{self.grid_min}, {self.grid_max}]")
         if self.grid_points < 2:

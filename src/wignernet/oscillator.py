@@ -23,14 +23,55 @@ than failing.  A single state is evaluated as a one-row batch.
 
 Everything here is a pure function of its arguments (thread-safe), computed
 in 64-bit floating point, with m = omega = 1 style dimensionless units.
+
+DOMAIN bounds every input, and each config and dataset is checked against it
+when it is loaded (check_domain).  The table is enough for float64: with hbar
+down to 1e-14 (convergence_report probes two decades below the hbar_log10
+floor), each term of evolve_batch is at most the product of its factors' extremes:
+
+    omega t, 2 omega t                    <= 2e12 (cos and sin stay finite)
+    p0 / (m omega), m omega x0            <= 1e18
+    sigma_p0 = hbar / (2 sigma_x0)        in [5e-21, 5e8]
+    sigma_x0^2; sigma_p0^2                <= 1e12; in [2.5e-41, 2.5e17]
+    sigma_p0^2 / (m omega)^2              <= 2.5e41
+    hbar / (2 m omega)                    <= 5e14
+    sigma_p0 / (m omega sigma_x0)         <= 5e26
+    m omega sigma_x0 / sigma_p0           <= 2e38
+    the sin(2 omega t) cross term         <= 5e14 * 2e38 = 1e53
+
+No divisor is below 1e-24 ((m omega)^2).  At the 384 corners of the box, with t
+in {0, 0.3, 1, 2, 5, 1e6}, the output is finite, warning-free and below 6.4e20.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+# The closed interval of each input quantity, by the name check_domain takes;
+# "grid" bounds both ends of both axes of a phase-space grid.
+DOMAIN = {
+    "m": (1e-6, 1e6),
+    "omega": (1e-6, 1e6),
+    "t": (0.0, 1e6),
+    "x0": (-1e6, 1e6),
+    "p0": (-1e6, 1e6),
+    "sigma_x0": (1e-6, 1e6),
+    "hbar_log10": (-12.0, 3.0),
+    "hbar": (1e-12, 1e3),
+    "grid": (-1e6, 1e6),
+}
+
+
+def check_domain(*entries: tuple[str, str, float]) -> None:
+    """Raise ValueError unless each (key, quantity, value) lies in DOMAIN[quantity],
+    naming the first that does not: `sampling.x0 max 1e+308 is outside [-1e+06, 1e+06]`."""
+    for key, quantity, value in entries:
+        lo, hi = DOMAIN[quantity]
+        if not lo <= value <= hi:
+            raise ValueError(f"{key} {value} is outside [{lo:g}, {hi:g}]")
 
 
 @dataclass
@@ -42,23 +83,7 @@ class OscillatorConfig:
     t: float = 5.0
 
     def __post_init__(self):
-        if not self.m > 0:
-            raise ValueError(f"mass must be positive, got {self.m}")
-        if not self.omega > 0:
-            raise ValueError(f"angular frequency must be positive, got {self.omega}")
-        if not self.t >= 0:
-            raise ValueError(f"evolution time must be nonnegative, got {self.t}")
-        m, w = float(self.m), float(self.omega)
-        for fault, term, value in (
-            (f"oscillator.m {m} gives", "m**2", m * m),
-            (f"oscillator.omega {w} gives", "omega**2", w * w),
-            (f"oscillator.m {m} and oscillator.omega {w} give", "m**2 * omega**2", m * m * (w * w)),
-        ):
-            if not 0 < value < math.inf:  # else m * omega, the other divisor, is fine too
-                raise ValueError(
-                    f"{fault} {term} = {value:g} in float64, where the closed form "
-                    "divides by a positive finite m**2 * omega**2"
-                )
+        check_domain(*((f"oscillator.{k}", k, getattr(self, k)) for k in ("m", "omega", "t")))
 
 
 class _RowError(ValueError):
