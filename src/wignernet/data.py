@@ -21,7 +21,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .oscillator import OscillatorConfig, _RowError, check_domain, evolve_batch
+from .oscillator import DOMAIN, OscillatorConfig, check_domain, evolve_batch
 
 CSV_HEADER = "x0,p0,sigma_x0,hbar,xt,pt,sigma_xt,sigma_pt"
 SPLIT_HEADER = "index,split"
@@ -165,7 +165,7 @@ class SamplingRanges:
             key = name.removesuffix("_range")
             check_domain((f"sampling.{key} min", key, lo), (f"sampling.{key} max", key, hi))
             if not lo <= hi:
-                raise ValueError(f"{name} must satisfy min <= max, got ({lo}, {hi})")
+                raise ValueError(f"sampling.{key} must satisfy min <= max, got ({lo}, {hi})")
 
 
 @dataclass
@@ -263,9 +263,10 @@ def save_dataset(ds: Dataset, path: str | os.PathLike) -> None:
 def load_dataset(path: str | os.PathLike) -> Dataset:
     """Parse a dataset CSV written by save_dataset.
 
-    Malformed content, including a row the oracle rejects or the absence of
-    data rows, is reported with its 1-based line number.  The clamp flags are
-    recomputed from the stored inputs (the oracle is pure, so this is exact).
+    Malformed content, including an input cell outside oscillator.DOMAIN
+    (which holds only rows the oracle accepts) or the absence of data rows,
+    is reported with its 1-based line number.  The clamp flags are recomputed
+    from the stored inputs (the oracle is pure, so this is exact).
     """
     reader = _TextReader(path, DatasetFormatError)
     if len(reader.lines) <= len(_CONFIG_KEYS) + len(_RANGE_KEYS) + 2:  # + seed and CSV_HEADER
@@ -275,11 +276,15 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
     first = reader.pos + 1
     data = reader.rows(8)
     inputs = data[:, :4]
-    try:
-        _, clamped = evolve_batch(cfg, inputs)
-    except _RowError as exc:
-        row, reason = exc.args
-        reader.fail(reason, first + row)
+    for name, column in zip(CSV_HEADER.split(","), inputs.T):  # x0, p0, sigma_x0, hbar
+        lo, hi = DOMAIN[name]
+        outside = np.flatnonzero((column < lo) | (column > hi))
+        if outside.size:
+            try:
+                check_domain((name, name, column[outside[0]]))
+            except ValueError as exc:
+                reader.fail(str(exc), first + int(outside[0]))
+    _, clamped = evolve_batch(cfg, inputs)  # the domain holds only rows it accepts
     return Dataset(
         inputs=inputs, targets=data[:, 4:], config=cfg, seed=seed, ranges=ranges, clamped=clamped
     )

@@ -91,6 +91,7 @@ class PhaseSpaceSpec:
             *(("phasespace.hbar_values", "hbar", h) for h in self.hbar_values),
             ("phasespace.grid_min", "grid", self.grid_min),
             ("phasespace.grid_max", "grid", self.grid_max),
+            ("phasespace.grid_points", "grid_points", self.grid_points),
         )
         names = [_phase_space_file(h) for h in self.hbar_values]  # one file per hbar
         if len(set(names)) < len(names):
@@ -98,8 +99,6 @@ class PhaseSpaceSpec:
             raise ValueError(f"hbar_values {list(self.hbar_values)} write {twice} twice")
         if not self.grid_min < self.grid_max:
             raise ValueError(f"grid_min must be below grid_max, got [{self.grid_min}, {self.grid_max}]")
-        if self.grid_points < 2:
-            raise ValueError(f"grid needs at least 2 points per axis, got {self.grid_points}")
 
 
 @dataclass

@@ -19,12 +19,25 @@ owns storage; `params` is the parameter part.  backward() returns the exact
 gradient (differentiated through the batch statistics) in the layout of
 `params`, as the model-owned buffer `grad`, which the next call overwrites.
 All math is float64.
+
+A training step runs in two lanes: the calling thread and one worker thread
+per process, started on first use.  backward() leaves each layer's weight
+gradient and bias sum to the worker once that layer's output gradient is
+final, and Adam.step updates half of the parameters on each thread.  Each
+array operation is the call it would be on one thread, on the same operands,
+so the results are bit for bit those of one thread.  The worker only writes
+views that the calling thread neither reads nor writes until both lanes are
+done, and it calls no layer method.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import queue
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,7 +195,10 @@ class MlpModel:
     every layer over views of `state`; the same walk over `grad` gives the
     gradient views that backward() writes.  Train-mode forwards mutate
     running statistics and must be serialized by the caller; infer-mode
-    forwards are read-only and thread-safe.
+    forwards are read-only and thread-safe.  Every layer method runs on the
+    calling thread; only backward() and Adam.step hand work to the worker
+    thread, which writes disjoint views of `grad`, and of the optimizer's
+    state, and is done with them when those calls return.
     """
 
     def __init__(self, spec: ArchitectureSpec, init_seed: int):
@@ -294,7 +310,15 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
 
 def backward(model: MlpModel, cache: ForwardCache, target: np.ndarray) -> np.ndarray:
     """Exact gradient of mse_loss w.r.t. model.params, returned as model.grad,
-    which the next call overwrites."""
+    which the next call overwrites.
+
+    The calling thread runs the serial chain: per block from the last, the
+    batchnorm backward, the ReLU mask and the input gradient g @ W.  The worker
+    thread computes each layer's weight gradient and bias sum once that
+    layer's g is final; g is not written after that.  The two write disjoint
+    views of model.grad.  This returns when both are done, with grad
+    complete, and raises a worker's exception here.
+    """
     target = np.asarray(target, dtype=np.float64)
     if target.shape != cache.output.shape:
         raise ValueError(
@@ -303,25 +327,36 @@ def backward(model: MlpModel, cache: ForwardCache, target: np.ndarray) -> np.nda
     g = 2.0 * (cache.output - target) / cache.output.size
 
     grad_blocks, grad_out = model._grad_layers
-    np.matmul(g.T, cache.final_input, out=grad_out.weights)
-    np.add.reduce(g, 0, out=grad_out.bias)
-    g = g @ model.output_layer.weights
-
-    for i in range(len(model.blocks) - 1, -1, -1):
-        (dense, bn), (grad_dense, grad_bn) = model.blocks[i], grad_blocks[i]
-        if bn is not None:
-            g = bn.backward(g, cache.bn_caches[i], grad_bn.gamma, grad_bn.beta)
-        g *= cache.relu_masks[i]
-        np.matmul(g.T, cache.block_inputs[i], out=grad_dense.weights)
-        np.add.reduce(g, 0, out=grad_dense.bias)
-        if i:  # block 0's input gradient would be the data's
-            g = g @ dense.weights
+    with _worker_lane() as submit:
+        submit(_dense_grad, g, cache.final_input, grad_out)
+        g = g @ model.output_layer.weights
+        for i in range(len(model.blocks) - 1, -1, -1):
+            (dense, bn), (grad_dense, grad_bn) = model.blocks[i], grad_blocks[i]
+            if bn is not None:
+                g = bn.backward(g, cache.bn_caches[i], grad_bn.gamma, grad_bn.beta)
+            g *= cache.relu_masks[i]
+            submit(_dense_grad, g, cache.block_inputs[i], grad_dense)
+            if i:  # block 0's input gradient would be the data's
+                g = g @ dense.weights
     return model.grad
+
+
+def _dense_grad(g: np.ndarray, layer_input: np.ndarray, grad: DenseLayer) -> None:
+    """A dense layer's weight gradient and bias sum from its output gradient g,
+    written into the views `grad` holds."""
+    np.matmul(g.T, layer_input, out=grad.weights)
+    np.add.reduce(g, 0, out=grad.bias)
 
 
 class Adam:
     """Adam with bias correction over one parameter array; epsilon is added
-    outside the square root."""
+    outside the square root.
+
+    A step updates the first half of the array (along its first axis) on the
+    calling thread and the second half on the worker thread, each element by
+    the same operations as one whole-array pass.  The halves are disjoint in
+    params and in the optimizer's state; step returns when both are done.
+    """
 
     BETA1 = 0.9
     BETA2 = 0.999
@@ -343,8 +378,14 @@ class Adam:
         self.step_count += 1
         bc1 = 1.0 - self.BETA1**self.step_count
         bc2 = 1.0 - self.BETA2**self.step_count
-        m, v = self.first_moment, self.second_moment
-        s, t = self._scratch
+        arrays = (params, grads, self.first_moment, self.second_moment, *self._scratch)
+        half = len(params) // 2
+        with _worker_lane() as submit:
+            submit(self._update, *(a[half:] for a in arrays), bc1, bc2)
+            self._update(*(a[:half] for a in arrays), bc1, bc2)
+
+    def _update(self, params, grads, m, v, s, t, bc1: float, bc2: float) -> None:
+        """The update of one part of params, with its moments and scratch."""
         m *= self.BETA1
         m += np.multiply(grads, 1.0 - self.BETA1, out=s)
         v *= self.BETA2
@@ -358,6 +399,61 @@ class Adam:
         t += self.EPSILON
         s /= t
         params -= s
+
+
+# This process's worker thread, as (pid, its task queue); started on first use.
+# A forked child does not inherit the thread, so a new pid starts a new one.
+_worker = (0, None)
+_worker_start = threading.Lock()
+
+
+def _worker_tasks() -> queue.SimpleQueue:
+    """The task queue of this process's worker thread, which this call starts if need be."""
+    global _worker
+    pid, tasks = _worker
+    if pid != os.getpid():
+        with _worker_start:
+            pid, tasks = _worker
+            if pid != os.getpid():
+                tasks = queue.SimpleQueue()
+                threading.Thread(target=_serve, args=(tasks,), name="wignernet-worker",
+                                 daemon=True).start()
+                _worker = os.getpid(), tasks
+    return tasks
+
+
+def _serve(tasks: queue.SimpleQueue) -> None:
+    """The worker's loop: run each (fn, args, done) in order, putting its exception
+    or None on done."""
+    while True:
+        fn, args, done = tasks.get()
+        try:
+            fn(*args)
+            outcome = None
+        except BaseException as exc:  # raised again by the caller that waits on done
+            outcome = exc
+        done.put(outcome)
+        del fn, args, done, outcome  # keep no array alive while idle
+
+
+@contextmanager
+def _worker_lane():
+    """Yield submit(fn, *args), which queues fn(*args) for the worker thread, run
+    in the order submitted.  On exit wait for every call, then raise the first
+    exception one raised, unless the block itself raised."""
+    tasks, done, submitted = _worker_tasks(), queue.SimpleQueue(), []
+
+    def submit(fn, *args) -> None:
+        tasks.put((fn, args, done))
+        submitted.append(fn)
+
+    try:
+        yield submit
+    finally:
+        errors = [done.get() for _ in submitted]
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 def save_model(model: MlpModel, path) -> None:

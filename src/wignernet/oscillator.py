@@ -51,7 +51,8 @@ import numpy as np
 
 
 # The closed interval of each input quantity, by the name check_domain takes;
-# "grid" bounds both ends of both axes of a phase-space grid.
+# "grid" bounds both ends of both axes of a phase-space grid, and
+# "grid_points" the number of points along each.
 DOMAIN = {
     "m": (1e-6, 1e6),
     "omega": (1e-6, 1e6),
@@ -62,6 +63,7 @@ DOMAIN = {
     "hbar_log10": (-12.0, 3.0),
     "hbar": (1e-12, 1e3),
     "grid": (-1e6, 1e6),
+    "grid_points": (2, np.inf),
 }
 
 
@@ -84,13 +86,6 @@ class OscillatorConfig:
 
     def __post_init__(self):
         check_domain(*((f"oscillator.{k}", k, getattr(self, k)) for k in ("m", "omega", "t")))
-
-
-class _RowError(ValueError):
-    """An input row that violates an invariant; args are its 0-based index and the reason."""
-
-    def __str__(self) -> str:
-        return "row {}: {}".format(*self.args)
 
 
 @dataclass
@@ -126,22 +121,22 @@ def evolve_batch(cfg: OscillatorConfig, inputs: np.ndarray) -> tuple[np.ndarray,
     Returns the (N, 4) matrix of (xt, pt, sigma_xt, sigma_pt) rows and an
     (N,) boolean vector marking rows whose variance went negative before the
     absolute value.  Rows violating the input invariants raise ValueError
-    (_RowError) with the offending row index.
+    naming the offending row's 0-based index.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != 4:
         raise ValueError(f"inputs must be an (N, 4) matrix, got shape {inputs.shape}")
     if not np.all(np.isfinite(inputs)):
         row = int(np.argwhere(~np.isfinite(inputs).all(axis=1))[0, 0])
-        raise _RowError(row, "non-finite input value")
+        raise ValueError(f"row {row}: non-finite input value")
     bad_sigma = inputs[:, 2] <= 0
     if np.any(bad_sigma):
         row = int(np.argmax(bad_sigma))
-        raise _RowError(row, f"sigma_x0 must be positive, got {inputs[row, 2]}")
+        raise ValueError(f"row {row}: sigma_x0 must be positive, got {inputs[row, 2]}")
     bad_hbar = inputs[:, 3] <= 0
     if np.any(bad_hbar):
         row = int(np.argmax(bad_hbar))
-        raise _RowError(row, f"hbar must be positive, got {inputs[row, 3]}")
+        raise ValueError(f"row {row}: hbar must be positive, got {inputs[row, 3]}")
 
     m, w, t = cfg.m, cfg.omega, cfg.t
     x0, p0, sx0, hbar = inputs[:, 0], inputs[:, 1], inputs[:, 2], inputs[:, 3]
@@ -185,8 +180,7 @@ def wigner_grid(
     p_axis[i]): rows run over momentum, columns over position, matching the
     usual meshgrid orientation for contour plotting.
     """
-    if n < 2:
-        raise ValueError(f"grid needs at least 2 points per axis, got {n}")
+    check_domain(("n", "grid_points", n))
     if not x_min < x_max:
         raise ValueError(f"x_min must be below x_max, got [{x_min}, {x_max}]")
     if not p_min < p_max:

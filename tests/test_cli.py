@@ -13,6 +13,7 @@ import pytest
 from wignernet.cli import _FLAGS, build_parser, default_config, main
 from wignernet.data import load_dataset, load_splits
 from wignernet.network import ArchitectureSpec, init_model, save_model
+from wignernet.oscillator import DOMAIN
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -320,6 +321,17 @@ class TestGenerate:
         assert caught == []
         assert capsys.readouterr().err == f"error: {fault} is outside [1e-06, 1e+06]\n"
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [({"sampling": {"x0": [5, -5]}}, "sampling.x0 must satisfy min <= max, got (5, -5)"),
+         ({"phasespace": {"grid_points": 1}}, "phasespace.grid_points 1 is outside [2, inf]")],
+        ids=["inverted-range", "grid-points"],
+    )
+    def test_config_check_names_its_json_key(self, tmp_path, capsys, overrides, message):
+        cfg = small_config(tmp_path, dataset={"n_samples": 20}, **overrides)
+        assert run("generate", "--config", cfg) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_unknown_config_key_fails(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"bogus": 1}))
@@ -403,6 +415,33 @@ class TestDatasetMetadata:
             assert run(command, "--config", cfg, "--oracle") == 1
         assert caught == []
         assert capsys.readouterr().err == f"error: {path}: line {lineno}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "column, value", [(0, "2e6"), (1, "-1e300"), (2, "1e300"), (3, "1e-300")],
+        ids=["x0", "p0", "sigma_x0", "hbar"],
+    )
+    def test_row_outside_the_domain_fails_naming_its_line_column_and_bound(
+        self, tmp_path, capsys, column, value
+    ):
+        """A data row's inputs are checked against the domain before the oracle
+        labels them, so an overflowing cell fails without a warning."""
+        cfg = small_config(tmp_path)
+        assert run("generate", "--config", cfg) == 0
+        path = tmp_path / "run" / "dataset.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[9].split(",")  # line 10, the first data row
+        cells[column] = value
+        lines[9] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run("eval", "--config", cfg, "--oracle") == 1
+        assert caught == []
+        name = ("x0", "p0", "sigma_x0", "hbar")[column]
+        lo, hi = DOMAIN[name]
+        message = f"line 10: {name} {float(value)} is outside [{lo:g}, {hi:g}]"
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 class TestSplitCoverage:

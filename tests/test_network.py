@@ -312,17 +312,21 @@ def reference_step(model, x, y, moments, step_count, lr):
 
 
 class TestFlatState:
-    def test_training_steps_match_the_per_tensor_reference_bit_for_bit(self):
-        """Six steps of forward_train/backward/Adam.step on the flat state equal
-        the per-tensor reference in every parameter, moment and running stat."""
+    @pytest.mark.parametrize(
+        "spec, batch", [(small_spec(hidden=(8, 6)), 16), (ArchitectureSpec(), 64)], ids=["16", "64"]
+    )
+    def test_training_steps_match_the_per_tensor_reference_bit_for_bit(self, spec, batch):
+        """Six steps of forward_train/backward/Adam.step on the flat state, in two
+        lanes, equal the one-thread per-tensor reference in every parameter,
+        moment and running stat: a small spec at B = 16, the stock one at B = 64."""
         lr = 0.01
-        model = init_model(small_spec(hidden=(8, 6)), seed=11)
-        reference = init_model(small_spec(hidden=(8, 6)), seed=11)
+        model = init_model(spec, seed=11)
+        reference = init_model(spec, seed=11)
         moments = [(np.zeros_like(p), np.zeros_like(p)) for p in reference.parameters()]
         adam = Adam(model.params, learning_rate=lr)
         rng = np.random.default_rng(11)
         for step in range(1, 7):
-            x, y = random_batch(rng, b=16)
+            x, y = random_batch(rng, b=batch)
             out, cache = model.forward_train(x)
             adam.step(model.params, backward(model, cache, y))
             reference_step(reference, x, y, moments, step, lr)
@@ -330,6 +334,31 @@ class TestFlatState:
                 assert np.array_equal(a, b), f"step {step}"
             assert np.array_equal(adam.first_moment, np.concatenate([m.ravel() for m, _ in moments]))
             assert np.array_equal(adam.second_moment, np.concatenate([v.ravel() for _, v in moments]))
+
+    def test_worker_exception_is_raised_by_backward(self):
+        """A weight-gradient matmul with a wrong-shaped out= fails on the worker
+        thread; backward raises it, and the next call works again."""
+        model = init_model(small_spec(hidden=(8, 6)), seed=13)
+        x, y = random_batch(np.random.default_rng(13))
+        _, cache = model.forward_train(x)
+        grad_out = model._grad_layers[1]
+        weights = grad_out.weights
+        grad_out.weights = np.empty((3, 3))
+        with pytest.raises(ValueError, match="Output operand"):
+            backward(model, cache, y)
+        grad_out.weights = weights
+        expected = backward(model, cache, y).copy()
+        assert np.array_equal(backward(model, cache, y), expected)
+
+    def test_worker_exception_is_raised_by_adam_step(self):
+        """The second half's scratch has one slot too many, so only the worker's
+        np.divide(..., out=) fails; Adam.step raises it."""
+        params = np.arange(10.0)
+        adam = Adam(params, learning_rate=0.01)
+        s, _ = adam._scratch
+        adam._scratch = (s, np.empty(11))
+        with pytest.raises(ValueError):
+            adam.step(params, np.ones(10))
 
     @pytest.mark.parametrize("source", ["init_model", "load_model"])
     def test_layer_tensors_are_views_into_the_state(self, source, tmp_path):
