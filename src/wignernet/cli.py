@@ -29,6 +29,7 @@ from .data import (
     CSV_HEADER,
     DatasetFormatError,
     SamplingRanges,
+    _MIN_ROWS,
     _read_metadata,
     _TextReader,
     _write_text,
@@ -64,52 +65,28 @@ EVAL_FILE = "eval.txt"
 SWEEP_FILE = "sweep.csv"
 
 
-# The config schema: per JSON section, the dataclass that owns its defaults,
-# the map from each JSON key to that dataclass's field, and the keys no
-# dataclass field holds, with their defaults.
+# The config schema: per JSON section, the dataclass that checks it and its
+# keys, each the name of one of that dataclass's fields.
 _SCHEMA = {
-    "oscillator": (OscillatorConfig, {"m": "m", "omega": "omega", "t": "t"}, {}),
-    "sampling": (
-        SamplingRanges,
-        {
-            "x0": "x0_range",
-            "p0": "p0_range",
-            "sigma_x0": "sigma_x0_range",
-            "hbar_log10": "hbar_log10_range",
-        },
-        {},
-    ),
-    "dataset": (None, {}, {"n_samples": 10000, "seed": 42, "split_seed": 7}),
-    "network": (
-        ArchitectureSpec,
-        {"hidden_dims": "hidden_dims", "batchnorm": "batchnorm"},
-        {"init_seed": 1},
-    ),
+    "oscillator": (OscillatorConfig, ("m", "omega", "t")),
+    "sampling": (SamplingRanges, ("x0", "p0", "sigma_x0", "hbar_log10")),
+    "network": (ArchitectureSpec, ("hidden_dims", "batchnorm")),
     "training": (
-        TrainConfig,
-        {
-            "max_epochs": "max_epochs",
-            "batch_size": "batch_size",
-            "patience": "early_stop_patience",
-            "learning_rate": "learning_rate",
-            "shuffle_seed": "shuffle_seed",
-        },
-        {},
+        TrainConfig, ("max_epochs", "batch_size", "patience", "learning_rate", "shuffle_seed")
     ),
-    "sweep": (
-        SweepSpec,
-        {k: k for k in ("x0", "p0", "sigma_x0", "hbar_log10_min", "hbar_log10_max", "n_points")},
-        {},
-    ),
+    "sweep": (SweepSpec, ("x0", "p0", "sigma_x0", "hbar_log10_min", "hbar_log10_max", "n_points")),
     "phasespace": (
         PhaseSpaceSpec,
-        {key: key for key in (
-            "x0", "p0", "sigma_x0", "hbar_values", "grid_min", "grid_max", "grid_points"
-        )},
-        {},
+        ("x0", "p0", "sigma_x0", "hbar_values", "grid_min", "grid_max", "grid_points"),
     ),
-    "out_dir": "runs/default",
 }
+
+# The keys no dataclass holds, with their defaults, and the least value of each
+# of them that is a count or a seed.
+_UNHELD = {"dataset.n_samples": 10000, "dataset.seed": 42, "dataset.split_seed": 7,
+           "network.init_seed": 1, "out_dir": "runs/default"}
+_LEAST = {"dataset.n_samples": _MIN_ROWS, "dataset.seed": 0, "dataset.split_seed": 0,
+          "network.init_seed": 0}
 
 # Each setting flag: the config key it overrides and the commands that take it.
 # Its value has the type of that key's default.
@@ -127,15 +104,12 @@ _FLAGS = {
 
 
 def default_config() -> dict:
-    """The full JSON config at its defaults, generated from _SCHEMA."""
-    cfg = {}
-    for key, entry in _SCHEMA.items():
-        if isinstance(entry, str):  # out_dir, the one top-level value
-            cfg[key] = entry
-            continue
-        owner, fields, own = entry
-        defaults = owner() if owner is not None else None
-        cfg[key] = {k: _to_json(getattr(defaults, name)) for k, name in fields.items()} | own
+    """The full JSON config at its defaults: each dataclass's, then _UNHELD."""
+    cfg = {s: {k: _to_json(v) for k, v in vars(owner()).items() if k in keys}
+           for s, (owner, keys) in _SCHEMA.items()}
+    for key, value in _UNHELD.items():
+        *sections, name = key.split(".")
+        reduce(lambda node, section: node.setdefault(section, {}), sections, cfg)[name] = value
     return cfg
 
 
@@ -197,12 +171,15 @@ class RunConfig:
     @classmethod
     def from_dict(cls, cfg: dict) -> "RunConfig":
         def build(section: str, **extra):
-            owner, fields, _ = _SCHEMA[section]
-            values = cfg[section]
-            return owner(
-                **{name: _from_json(values[key]) for key, name in fields.items()}, **extra
-            )
+            owner, keys = _SCHEMA[section]
+            try:
+                return owner(**{k: _from_json(cfg[section][k]) for k in keys}, **extra)
+            except ValueError as exc:  # its message starts with the key
+                raise ValueError(f"{section}.{exc}") from None
 
+        for key, least in _LEAST.items():
+            if (value := reduce(dict.__getitem__, key.split("."), cfg)) < least:
+                raise ValueError(f"{key} must be >= {least}, got {value}")
         osc = build("oscillator")
         return cls(
             oscillator=osc,
@@ -317,7 +294,7 @@ def cmd_sweep(args) -> int:
 
     result = hbar_sweep(predict, rc.sweep_spec)
     save_sweep(result, rc.out_dir / SWEEP_FILE)
-    report = convergence_report(predict, rc.sweep_spec, result, ranges.hbar_log10_range)
+    report = convergence_report(predict, rc.sweep_spec, result, ranges.hbar_log10)
 
     print(f"wrote {rc.out_dir / SWEEP_FILE} ({result.hbar.size} rows)")
     print(

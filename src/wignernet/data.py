@@ -26,11 +26,12 @@ from .oscillator import DOMAIN, OscillatorConfig, check_domain, evolve_batch
 CSV_HEADER = "x0,p0,sigma_x0,hbar,xt,pt,sigma_xt,sigma_pt"
 SPLIT_HEADER = "index,split"
 _SPLIT_LABELS = ("train", "val", "test")
+_MIN_ROWS = 10  # the fewest rows that split 80/10/10 with no split empty
 
 # A dataset file's `#` metadata lines, in order: these OscillatorConfig
-# fields, the seed, then these SamplingRanges fields.
+# fields, the seed, then each SamplingRanges field under its line's label.
 _CONFIG_KEYS = ("m", "omega", "t")
-_RANGE_KEYS = ("x0_range", "p0_range", "sigma_x0_range", "hbar_log10_range")
+_RANGE_LABELS = {k: f"# {k}_range" for k in ("x0", "p0", "sigma_x0", "hbar_log10")}
 
 
 class DatasetFormatError(ValueError):
@@ -154,18 +155,16 @@ class _TextReader:
 class SamplingRanges:
     """Closed sampling intervals for each input column; hbar is given in log10."""
 
-    x0_range: tuple[float, float] = (-5.0, 5.0)
-    p0_range: tuple[float, float] = (-5.0, 5.0)
-    sigma_x0_range: tuple[float, float] = (0.5, 2.0)
-    hbar_log10_range: tuple[float, float] = (-6.0, 0.0)
+    x0: tuple[float, float] = (-5.0, 5.0)
+    p0: tuple[float, float] = (-5.0, 5.0)
+    sigma_x0: tuple[float, float] = (0.5, 2.0)
+    hbar_log10: tuple[float, float] = (-6.0, 0.0)
 
     def __post_init__(self):
-        for name in _RANGE_KEYS:
-            lo, hi = getattr(self, name)
-            key = name.removesuffix("_range")
-            check_domain((f"sampling.{key} min", key, lo), (f"sampling.{key} max", key, hi))
+        for key, (lo, hi) in vars(self).items():
+            check_domain((f"{key} min", key, lo), (f"{key} max", key, hi))
             if not lo <= hi:
-                raise ValueError(f"sampling.{key} must satisfy min <= max, got ({lo}, {hi})")
+                raise ValueError(f"{key} must satisfy min <= max, got ({lo}, {hi})")
 
 
 @dataclass
@@ -205,10 +204,10 @@ def sample_inputs(ranges: SamplingRanges, n: int, seed: int) -> np.ndarray:
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    x0 = rng.uniform(*ranges.x0_range, size=n)
-    p0 = rng.uniform(*ranges.p0_range, size=n)
-    sigma_x0 = rng.uniform(*ranges.sigma_x0_range, size=n)
-    hbar = 10.0 ** rng.uniform(*ranges.hbar_log10_range, size=n)
+    x0 = rng.uniform(*ranges.x0, size=n)
+    p0 = rng.uniform(*ranges.p0, size=n)
+    sigma_x0 = rng.uniform(*ranges.sigma_x0, size=n)
+    hbar = 10.0 ** rng.uniform(*ranges.hbar_log10, size=n)
     return np.column_stack([x0, p0, sigma_x0, hbar])
 
 
@@ -237,8 +236,8 @@ def split_indices(n: int, seed: int) -> SplitIndices:
     Sizes are floor(0.8 n) / floor(0.1 n) / remainder.  The returned index
     arrays are sorted; membership, not order, is the contract.
     """
-    if n < 10:
-        raise ValueError(f"need at least 10 rows to split 80/10/10, got {n}")
+    if n < _MIN_ROWS:
+        raise ValueError(f"need at least {_MIN_ROWS} rows to split 80/10/10, got {n}")
     perm = np.random.default_rng(seed).permutation(n)
     n_train = int(0.8 * n)
     n_val = int(0.1 * n)
@@ -254,7 +253,7 @@ def save_dataset(ds: Dataset, path: str | os.PathLike) -> None:
     head = [
         *((f"# {key}", [getattr(ds.config, key)]) for key in _CONFIG_KEYS),
         f"# seed {ds.seed}",
-        *((f"# {key}", getattr(ds.ranges, key)) for key in _RANGE_KEYS),
+        *((label, getattr(ds.ranges, key)) for key, label in _RANGE_LABELS.items()),
         CSV_HEADER,
     ]
     _write_text(path, head, np.hstack([ds.inputs, ds.targets]))
@@ -265,11 +264,10 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
 
     Malformed content, including an input cell outside oscillator.DOMAIN
     (which holds only rows the oracle accepts) or the absence of data rows,
-    is reported with its 1-based line number.  The clamp flags are recomputed
-    from the stored inputs (the oracle is pure, so this is exact).
+    is reported with its 1-based line number.
     """
     reader = _TextReader(path, DatasetFormatError)
-    if len(reader.lines) <= len(_CONFIG_KEYS) + len(_RANGE_KEYS) + 2:  # + seed and CSV_HEADER
+    if len(reader.lines) <= len(_CONFIG_KEYS) + len(_RANGE_LABELS) + 2:  # + seed and CSV_HEADER
         reader.fail("no data rows", len(reader.lines) + 1)
     cfg, seed, ranges = _read_metadata(reader)
     reader.line(CSV_HEADER)
@@ -284,10 +282,7 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
                 check_domain((name, name, column[outside[0]]))
             except ValueError as exc:
                 reader.fail(str(exc), first + int(outside[0]))
-    _, clamped = evolve_batch(cfg, inputs)  # the domain holds only rows it accepts
-    return Dataset(
-        inputs=inputs, targets=data[:, 4:], config=cfg, seed=seed, ranges=ranges, clamped=clamped
-    )
+    return Dataset(inputs=inputs, targets=data[:, 4:], config=cfg, seed=seed, ranges=ranges)
 
 
 def _read_metadata(reader: _TextReader) -> tuple[OscillatorConfig, int, SamplingRanges]:
@@ -298,9 +293,9 @@ def _read_metadata(reader: _TextReader) -> tuple[OscillatorConfig, int, Sampling
             osc[k] = reader.value(f"# {k}")
             cfg = OscillatorConfig(**osc)
     seed = reader.value("# seed", int)
-    for k in _RANGE_KEYS:
+    for k, label in _RANGE_LABELS.items():
         with reader.group():
-            ranges[k] = tuple(reader.values(f"# {k}", 2).tolist())
+            ranges[k] = tuple(reader.values(label, 2).tolist())
             sampled = SamplingRanges(**ranges)
     return cfg, seed, sampled
 

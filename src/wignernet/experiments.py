@@ -53,16 +53,16 @@ class SweepSpec:
     hbar_values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.n_points < 1:
-            raise ValueError(f"sweep n_points must be >= 1, got {self.n_points}")
+        lo, hi, n = self.hbar_log10_min, self.hbar_log10_max, self.n_points
+        if n < 1:
+            raise ValueError(f"n_points must be >= 1, got {n}")
         check_domain(
-            *((f"sweep.{k}", k, getattr(self, k)) for k in ("x0", "p0", "sigma_x0")),
-            ("sweep.hbar_log10_min", "hbar_log10", self.hbar_log10_min),
-            ("sweep.hbar_log10_max", "hbar_log10", self.hbar_log10_max),
+            *((k, k, getattr(self, k)) for k in ("x0", "p0", "sigma_x0")),
+            ("hbar_log10_min", "hbar_log10", lo), ("hbar_log10_max", "hbar_log10", hi),
         )
-        self.hbar_values = np.logspace(self.hbar_log10_min, self.hbar_log10_max, self.n_points)
+        self.hbar_values = np.logspace(lo, hi, n)
         if np.any(np.diff(self.hbar_values) <= 0):
-            raise ValueError("sweep hbar values must be strictly ascending")
+            raise ValueError(f"hbar_log10_min {lo} to max {hi} must give {n} ascending hbar values")
 
 
 def _phase_space_file(hbar: float) -> str:
@@ -87,11 +87,11 @@ class PhaseSpaceSpec:
         if not self.hbar_values:
             raise ValueError("hbar_values must be nonempty")
         check_domain(
-            *((f"phasespace.{k}", k, getattr(self, k)) for k in ("x0", "p0", "sigma_x0")),
-            *(("phasespace.hbar_values", "hbar", h) for h in self.hbar_values),
-            ("phasespace.grid_min", "grid", self.grid_min),
-            ("phasespace.grid_max", "grid", self.grid_max),
-            ("phasespace.grid_points", "grid_points", self.grid_points),
+            *((k, k, getattr(self, k)) for k in ("x0", "p0", "sigma_x0")),
+            *(("hbar_values", "hbar", h) for h in self.hbar_values),
+            ("grid_min", "grid", self.grid_min),
+            ("grid_max", "grid", self.grid_max),
+            ("grid_points", "grid_points", self.grid_points),
         )
         names = [_phase_space_file(h) for h in self.hbar_values]  # one file per hbar
         if len(set(names)) < len(names):

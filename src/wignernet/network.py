@@ -73,7 +73,7 @@ class ArchitectureSpec:
         self.hidden_dims = tuple(int(d) for d in self.hidden_dims)
         dims = (self.input_dim, *self.hidden_dims, self.output_dim)
         if any(d < 1 for d in dims):
-            raise ValueError(f"all layer widths must be >= 1, got {dims}")
+            raise ValueError(f"hidden_dims and the in and out widths must be >= 1, got {dims}")
         if self.batchnorm not in (0, 1):
             raise ValueError(f"batchnorm must be 0 or 1, got {self.batchnorm!r}")
         self.batchnorm = bool(self.batchnorm)

@@ -69,7 +69,7 @@ DOMAIN = {
 
 def check_domain(*entries: tuple[str, str, float]) -> None:
     """Raise ValueError unless each (key, quantity, value) lies in DOMAIN[quantity],
-    naming the first that does not: `sampling.x0 max 1e+308 is outside [-1e+06, 1e+06]`."""
+    naming the first that does not: `x0 max 1e+308 is outside [-1e+06, 1e+06]`."""
     for key, quantity, value in entries:
         lo, hi = DOMAIN[quantity]
         if not lo <= value <= hi:
@@ -85,7 +85,7 @@ class OscillatorConfig:
     t: float = 5.0
 
     def __post_init__(self):
-        check_domain(*((f"oscillator.{k}", k, getattr(self, k)) for k in ("m", "omega", "t")))
+        check_domain(*((k, k, v) for k, v in vars(self).items()))
 
 
 @dataclass

@@ -26,7 +26,7 @@ from .network import Adam, MlpModel, backward, mse_loss
 class TrainConfig:
     max_epochs: int = 1000
     batch_size: int = 64
-    early_stop_patience: int = 20
+    patience: int = 20
     learning_rate: float = 0.0005
     shuffle_seed: int = 3
 
@@ -35,10 +35,12 @@ class TrainConfig:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.batch_size < 2:
             raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.early_stop_patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.early_stop_patience}")
+        if self.patience < 1:
+            raise ValueError(f"patience must be >= 1, got {self.patience}")
         if not (self.learning_rate > 0 and np.isfinite(self.learning_rate)):
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if self.shuffle_seed < 0:
+            raise ValueError(f"shuffle_seed must be >= 0, got {self.shuffle_seed}")
 
 
 @dataclass
@@ -119,7 +121,7 @@ def train(
             best_snapshot = model.snapshot()
         else:
             epochs_since_best += 1
-            if epochs_since_best >= config.early_stop_patience:
+            if epochs_since_best >= config.patience:
                 break
 
     if best_snapshot is not None:  # None when no validation loss was a number

@@ -177,7 +177,7 @@ class TestCriterion5:
         final_train = pipeline.summary["final_train_loss"][0]
         test_loss = pipeline.summary["test_loss"][0]
         sweep = read_sweep(pipeline.dir / "sweep.csv")
-        trained_range = load_dataset(pipeline.dir / "dataset.csv").ranges.hbar_log10_range
+        trained_range = load_dataset(pipeline.dir / "dataset.csv").ranges.hbar_log10
         in_range = (sweep[:, 0] >= 10.0 ** trained_range[0]) & (
             sweep[:, 0] <= 10.0 ** trained_range[1]
         )

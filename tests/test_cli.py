@@ -45,6 +45,23 @@ class TestConfig:
         block = README.read_text(encoding="utf-8").split("```json\n", 1)[1].split("```", 1)[0]
         assert json.loads(block) == default_config()
 
+    def test_readme_domain_table_is_the_domain(self):
+        """Each row's interval is oscillator.DOMAIN's for the quantity of each key in it."""
+        text = README.read_text(encoding="utf-8")
+        table = text.split("| quantity | config keys | closed interval |\n|---|---|---|\n", 1)[1]
+        quantities = set()
+        for line in table[: table.index("\n\n")].splitlines():
+            _, _, keys, interval, _ = line.split("|")
+            bounds = tuple(float(v) for v in re.findall(r"[-\w.]+", interval))
+            for key in re.findall(r"`([^`]+)`", keys):
+                name = key.split(".")[-1]
+                quantity = {"hbar_values": "hbar", "grid_min": "grid", "grid_max": "grid"}.get(
+                    name, name.removesuffix("_min").removesuffix("_max")
+                )
+                assert bounds == DOMAIN[quantity], key
+                quantities.add(quantity)
+        assert quantities == set(DOMAIN)
+
     @pytest.mark.parametrize(
         "key, value",
         [
@@ -230,7 +247,8 @@ class TestFlags:
         for argv in (["--config", cfg, flag, value], ["--config", bad]):
             assert run("train", *argv) == 1
             errors.append(capsys.readouterr().err)
-        assert errors[0] == errors[1] == f"error: {message}\n"
+        section, _ = key.split(".")
+        assert errors[0] == errors[1] == f"error: {section}.{message}\n"
 
 
 class TestGenerate:
@@ -324,13 +342,41 @@ class TestGenerate:
     @pytest.mark.parametrize(
         "overrides, message",
         [({"sampling": {"x0": [5, -5]}}, "sampling.x0 must satisfy min <= max, got (5, -5)"),
-         ({"phasespace": {"grid_points": 1}}, "phasespace.grid_points 1 is outside [2, inf]")],
-        ids=["inverted-range", "grid-points"],
+         ({"phasespace": {"grid_points": 1}}, "phasespace.grid_points 1 is outside [2, inf]"),
+         ({"phasespace": {"grid_min": 2.0, "grid_max": -2.0}},
+          "phasespace.grid_min must be below grid_max, got [2.0, -2.0]"),
+         ({"sweep": {"n_points": 0}}, "sweep.n_points must be >= 1, got 0"),
+         ({"phasespace": {"hbar_values": []}}, "phasespace.hbar_values must be nonempty"),
+         ({"training": {"batch_size": 1}}, "training.batch_size must be >= 2, got 1"),
+         ({"training": {"max_epochs": 0}}, "training.max_epochs must be >= 1, got 0"),
+         ({"training": {"patience": 0}}, "training.patience must be >= 1, got 0"),
+         ({"training": {"learning_rate": -1}},
+          "training.learning_rate must be positive and finite, got -1"),
+         ({"network": {"hidden_dims": [0]}},
+          "network.hidden_dims and the in and out widths must be >= 1, got (4, 0, 4)"),
+         ({"sweep": {"hbar_log10_min": 0.0, "hbar_log10_max": -6.0}},
+          "sweep.hbar_log10_min 0.0 to max -6.0 must give 50 ascending hbar values"),
+         ({"dataset": {"seed": -1}}, "dataset.seed must be >= 0, got -1"),
+         ({"dataset": {"split_seed": -1}}, "dataset.split_seed must be >= 0, got -1"),
+         ({"network": {"init_seed": -1}}, "network.init_seed must be >= 0, got -1"),
+         ({"training": {"shuffle_seed": -1}}, "training.shuffle_seed must be >= 0, got -1"),
+         ({"dataset": {"n_samples": 5}}, "dataset.n_samples must be >= 10, got 5"),
+         ({"dataset": {"n_samples": 0}}, "dataset.n_samples must be >= 10, got 0")],
+        ids=["inverted-range", "grid-points", "grid-reversed", "n-points", "no-hbar-values",
+             "batch-size", "max-epochs", "patience", "learning-rate", "hidden-dims",
+             "sweep-reversed", "seed", "split-seed", "init-seed", "shuffle-seed", "n-samples-5",
+             "n-samples-0"],
     )
     def test_config_check_names_its_json_key(self, tmp_path, capsys, overrides, message):
-        cfg = small_config(tmp_path, dataset={"n_samples": 20}, **overrides)
-        assert run("generate", "--config", cfg) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
+        """Each check fails at config load, for every command, starting with its key."""
+        (section, values), = overrides.items()
+        cfg = small_config(tmp_path, **merged({"dataset": {"n_samples": 20}}, overrides))
+        for command in ("generate", "train", "eval", "sweep", "phasespace"):
+            assert run(command, "--config", cfg) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {section}.{next(iter(values))} ")
+            assert err == f"error: {message}\n"
+            assert not (tmp_path / "run").exists()
 
     def test_unknown_config_key_fails(self, tmp_path):
         path = tmp_path / "config.json"
@@ -394,9 +440,9 @@ class TestEval:
 class TestDatasetMetadata:
     @pytest.mark.parametrize(
         "command, old, new, lineno, message",
-        [("eval", "# t 5\n", "# t 1e308\n", 3, "oscillator.t 1e+308 is outside [0, 1e+06]"),
+        [("eval", "# t 5\n", "# t 1e308\n", 3, "t 1e+308 is outside [0, 1e+06]"),
          ("sweep", "# hbar_log10_range -6 0\n", "# hbar_log10_range -400 0\n", 8,
-          "sampling.hbar_log10 min -400.0 is outside [-12, 3]")],
+          "hbar_log10 min -400.0 is outside [-12, 3]")],
         ids=["t", "hbar_log10"],
     )
     def test_metadata_outside_the_domain_fails_naming_its_line_and_key(

@@ -33,20 +33,20 @@ class TestSamplingRanges:
 
     def test_rejects_inverted_interval(self):
         with pytest.raises(ValueError):
-            SamplingRanges(x0_range=(1.0, -1.0))
+            SamplingRanges(x0=(1.0, -1.0))
 
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError):
-            SamplingRanges(sigma_x0_range=(0.0, 1.0))
+            SamplingRanges(sigma_x0=(0.0, 1.0))
 
 
 class TestSampleInputs:
     def test_degenerate_intervals_give_identical_rows(self):
         ranges = SamplingRanges(
-            x0_range=(2.0, 2.0),
-            p0_range=(-1.0, -1.0),
-            sigma_x0_range=(0.7, 0.7),
-            hbar_log10_range=(-2.0, -2.0),
+            x0=(2.0, 2.0),
+            p0=(-1.0, -1.0),
+            sigma_x0=(0.7, 0.7),
+            hbar_log10=(-2.0, -2.0),
         )
         inputs = sample_inputs(ranges, 25, seed=0)
         assert np.allclose(inputs, inputs[0])
@@ -56,12 +56,12 @@ class TestSampleInputs:
         ranges = SamplingRanges()
         inputs = sample_inputs(ranges, 10_000, seed=42)
         for col, (lo, hi) in zip(
-            inputs.T[:3], (ranges.x0_range, ranges.p0_range, ranges.sigma_x0_range)
+            inputs.T[:3], (ranges.x0, ranges.p0, ranges.sigma_x0)
         ):
             assert col.min() >= lo and col.max() <= hi
         hbar = inputs[:, 3]
-        assert hbar.min() >= 10.0 ** ranges.hbar_log10_range[0]
-        assert hbar.max() <= 10.0 ** ranges.hbar_log10_range[1]
+        assert hbar.min() >= 10.0 ** ranges.hbar_log10[0]
+        assert hbar.max() <= 10.0 ** ranges.hbar_log10[1]
         assert np.log10(hbar.max() / hbar.min()) >= 5.0  # spans at least five decades
 
     def test_same_seed_is_bit_identical(self):
@@ -74,12 +74,12 @@ class TestSampleInputs:
         ranges = SamplingRanges()
         inputs = sample_inputs(ranges, 10_000, seed=42)
         for col, (lo, hi) in zip(
-            inputs.T[:3], (ranges.x0_range, ranges.p0_range, ranges.sigma_x0_range)
+            inputs.T[:3], (ranges.x0, ranges.p0, ranges.sigma_x0)
         ):
             se = (hi - lo) / np.sqrt(12.0) / np.sqrt(10_000)
             assert abs(col.mean() - (lo + hi) / 2.0) < 5.0 * se
         log_hbar = np.log10(inputs[:, 3])
-        lo, hi = ranges.hbar_log10_range
+        lo, hi = ranges.hbar_log10
         se = (hi - lo) / np.sqrt(12.0) / np.sqrt(10_000)
         assert abs(log_hbar.mean() - (lo + hi) / 2.0) < 5.0 * se
 

@@ -40,40 +40,41 @@ class TestSpecs:
         assert spec.hbar_values[-1] == pytest.approx(1.0)
 
     def test_sweep_rejects_unsorted_or_nonpositive(self):
-        with pytest.raises(ValueError, match="n_points must be >= 1, got 0"):
+        with pytest.raises(ValueError, match="^n_points must be >= 1, got 0"):
             SweepSpec(n_points=0)
         for bounds in [
             {"hbar_log10_min": 0.0, "hbar_log10_max": -6.0},  # reversed
             {"hbar_log10_min": -2.0, "hbar_log10_max": -2.0, "n_points": 2},  # equal
         ]:
-            with pytest.raises(ValueError, match="strictly ascending"):
+            message = r"^hbar_log10_min \S+ to max \S+ must give \d+ ascending hbar values$"
+            with pytest.raises(ValueError, match=message):
                 SweepSpec(**bounds)
         # 10**-400 is 0.0: the bound is met before any hbar is computed.
-        with pytest.raises(ValueError, match=re.escape("sweep.hbar_log10_min -400.0 is outside")):
+        with pytest.raises(ValueError, match="^" + re.escape("hbar_log10_min -400.0 is outside")):
             SweepSpec(hbar_log10_min=-400.0, n_points=2)
         one = SweepSpec(hbar_log10_min=-2.0, hbar_log10_max=-2.0, n_points=1)
         assert one.hbar_values.tolist() == [0.01]
 
     def test_sweep_rejects_hbar_beyond_the_closed_form(self):
         for bounds, message in [
-            ({"hbar_log10_max": 400.0}, "sweep.hbar_log10_max 400.0 is outside [-12, 3]"),
-            ({"hbar_log10_max": 160.0}, "sweep.hbar_log10_max 160.0 is outside [-12, 3]"),
-            ({"hbar_log10_min": -320.0}, "sweep.hbar_log10_min -320.0 is outside [-12, 3]"),
-            ({"sigma_x0": 1e-200}, "sweep.sigma_x0 1e-200 is outside [1e-06, 1e+06]"),
-            ({"sigma_x0": -1.0}, "sweep.sigma_x0 -1.0 is outside [1e-06, 1e+06]"),
+            ({"hbar_log10_max": 400.0}, "hbar_log10_max 400.0 is outside [-12, 3]"),
+            ({"hbar_log10_max": 160.0}, "hbar_log10_max 160.0 is outside [-12, 3]"),
+            ({"hbar_log10_min": -320.0}, "hbar_log10_min -320.0 is outside [-12, 3]"),
+            ({"sigma_x0": 1e-200}, "sigma_x0 1e-200 is outside [1e-06, 1e+06]"),
+            ({"sigma_x0": -1.0}, "sigma_x0 -1.0 is outside [1e-06, 1e+06]"),
         ]:
-            with pytest.raises(ValueError, match=re.escape(message)):
+            with pytest.raises(ValueError, match="^" + re.escape(message)):
                 SweepSpec(**bounds)
         # The top of the domain is accepted: hbar = 1e3.
         assert SweepSpec(hbar_log10_max=3.0).hbar_values[-1] == pytest.approx(1e3)
 
     def test_phasespace_rejects_hbar_beyond_the_closed_form(self):
         for kwargs, message in [
-            ({"hbar_values": (1.0, 1e300)}, "phasespace.hbar_values 1e+300 is outside [1e-12, 1000]"),
-            ({"hbar_values": (1e-320,)}, "phasespace.hbar_values 1e-320 is outside [1e-12, 1000]"),
-            ({"sigma_x0": 0.0}, "phasespace.sigma_x0 0.0 is outside [1e-06, 1e+06]"),
+            ({"hbar_values": (1.0, 1e300)}, "hbar_values 1e+300 is outside [1e-12, 1000]"),
+            ({"hbar_values": (1e-320,)}, "hbar_values 1e-320 is outside [1e-12, 1000]"),
+            ({"sigma_x0": 0.0}, "sigma_x0 0.0 is outside [1e-06, 1e+06]"),
         ]:
-            with pytest.raises(ValueError, match=re.escape(message)):
+            with pytest.raises(ValueError, match="^" + re.escape(message)):
                 PhaseSpaceSpec(**kwargs)
         PhaseSpaceSpec(hbar_values=(1e3,))
 
@@ -214,6 +215,6 @@ class TestCsvOutputs:
     def test_saving_degenerate_result_raises(self, tmp_path):
         res = phase_space_grids(constant_predictor((0, 0, -1, 1)), PhaseSpaceSpec())[0]
         message = "degenerate prediction at hbar=1: sigma_xt=-1, sigma_pt=1 (must be positive)"
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
             save_phase_space(res, tmp_path / "never.csv")
         assert not (tmp_path / "never.csv").exists()

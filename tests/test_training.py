@@ -61,7 +61,7 @@ class TestTrainConfig:
         tc = TrainConfig()
         assert tc.max_epochs == 1000
         assert tc.batch_size == 64
-        assert tc.early_stop_patience == 20
+        assert tc.patience == 20
         assert tc.learning_rate == 0.0005
 
     def test_invalid_values_rejected(self):
@@ -70,7 +70,7 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(batch_size=1)
         with pytest.raises(ValueError):
-            TrainConfig(early_stop_patience=0)
+            TrainConfig(patience=0)
 
     @pytest.mark.parametrize("lr", [-1.0, 0.0, float("nan"), float("inf")])
     def test_learning_rate_must_be_positive_and_finite(self, lr):
@@ -91,7 +91,7 @@ class TestTrainLoop:
         config = TrainConfig(
             max_epochs=200,
             batch_size=32,
-            early_stop_patience=200,
+            patience=200,
             learning_rate=0.01,
             shuffle_seed=2,
         )
@@ -110,7 +110,7 @@ class TestTrainLoop:
         targets[splits.validation] = -1.0  # training pulls predictions away from these
         ds = synthetic_dataset(inputs, targets)
         config = TrainConfig(
-            max_epochs=50, batch_size=10, early_stop_patience=1, learning_rate=0.01, shuffle_seed=0
+            max_epochs=50, batch_size=10, patience=1, learning_rate=0.01, shuffle_seed=0
         )
         _, report = train(tiny_model(seed=2), ds, splits, config)
         assert report.stopped_epoch == 2
@@ -121,17 +121,17 @@ class TestTrainLoop:
         ds = affine_dataset(n=100, seed=4)
         splits = split_indices(100, seed=4)
         config = TrainConfig(
-            max_epochs=300, batch_size=20, early_stop_patience=5, learning_rate=0.05, shuffle_seed=5
+            max_epochs=300, batch_size=20, patience=5, learning_rate=0.05, shuffle_seed=5
         )
         _, report = train(tiny_model(seed=4), ds, splits, config)
         if report.stopped_epoch < config.max_epochs:  # stopping was patience-triggered
-            assert report.stopped_epoch <= report.best_epoch + config.early_stop_patience
+            assert report.stopped_epoch <= report.best_epoch + config.patience
 
     def test_restore_best_reports_minimum_validation_loss(self):
         ds = affine_dataset(n=120, seed=5)
         splits = split_indices(120, seed=5)
         config = TrainConfig(
-            max_epochs=40, batch_size=16, early_stop_patience=40, learning_rate=0.02, shuffle_seed=6
+            max_epochs=40, batch_size=16, patience=40, learning_rate=0.02, shuffle_seed=6
         )
         model, report = train(tiny_model(seed=5), ds, splits, config)
         assert len(report.train_loss_per_epoch) == report.stopped_epoch
@@ -149,7 +149,7 @@ class TestTrainLoop:
         splits = split_indices(40, seed=5)
         ds.targets[splits.validation] = np.nan
         config = TrainConfig(
-            max_epochs=10, batch_size=16, early_stop_patience=3, learning_rate=0.02, shuffle_seed=6
+            max_epochs=10, batch_size=16, patience=3, learning_rate=0.02, shuffle_seed=6
         )
         _, report = train(tiny_model(seed=5), ds, splits, config)
         assert (report.stopped_epoch, report.best_epoch) == (3, 0)
@@ -161,7 +161,7 @@ class TestTrainLoop:
         ds = affine_dataset(n=80, seed=6)
         splits = split_indices(80, seed=6)
         config = TrainConfig(
-            max_epochs=15, batch_size=16, early_stop_patience=15, learning_rate=0.01, shuffle_seed=7
+            max_epochs=15, batch_size=16, patience=15, learning_rate=0.01, shuffle_seed=7
         )
         model_a, report_a = train(tiny_model(seed=6), ds, splits, config)
         model_b, report_b = train(tiny_model(seed=6), ds, splits, config)
@@ -177,7 +177,7 @@ class TestTrainLoop:
             train=np.arange(0, 9), validation=np.arange(9, 15), test=np.arange(15, 20)
         )
         config = TrainConfig(
-            max_epochs=3, batch_size=4, early_stop_patience=3, learning_rate=0.01, shuffle_seed=8
+            max_epochs=3, batch_size=4, patience=3, learning_rate=0.01, shuffle_seed=8
         )
         _, report = train(tiny_model(seed=7), ds, splits, config)  # must not raise
         assert report.stopped_epoch == 3
@@ -189,7 +189,7 @@ class TestTrainLoop:
             train=np.arange(0, 30), validation=np.arange(30, 35), test=np.arange(35, 40)
         )
         config = TrainConfig(
-            max_epochs=5, batch_size=30, early_stop_patience=5, learning_rate=0.01, shuffle_seed=9
+            max_epochs=5, batch_size=30, patience=5, learning_rate=0.01, shuffle_seed=9
         )
         with pytest.raises(RuntimeError) as excinfo:
             train(tiny_model(seed=8), ds, splits, config)
@@ -217,7 +217,7 @@ class TestTwoLanes:
 
     def run(self, seed=0):
         ds = affine_dataset(n=80, seed=seed)
-        config = TrainConfig(max_epochs=2, batch_size=16, early_stop_patience=2, learning_rate=0.01)
+        config = TrainConfig(max_epochs=2, batch_size=16, patience=2, learning_rate=0.01)
         model, _ = train(tiny_model(seed=seed, hidden=(16, 8)), ds, split_indices(80, seed), config)
         return model.snapshot()
 
