@@ -70,7 +70,7 @@ SWEEP_FILE = "sweep.csv"
 _SCHEMA = {
     "oscillator": (OscillatorConfig, ("m", "omega", "t")),
     "sampling": (SamplingRanges, ("x0", "p0", "sigma_x0", "hbar_log10")),
-    "network": (ArchitectureSpec, ("hidden_dims", "batchnorm")),
+    "network": (ArchitectureSpec, ("hidden_dims",)),
     "training": (
         TrainConfig, ("max_epochs", "batch_size", "patience", "learning_rate", "shuffle_seed")
     ),
@@ -141,13 +141,12 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
 
 
 # By the type of a key's default (a list's by its elements'), the JSON values it
-# takes: named alone and in a list, and the test of one.  Python's bools are ints:
-# an int key turns them away, and a bool key also takes 0 and 1, as model.txt has.
+# takes: named alone and in a list, and the test of one.  Python's bools are ints,
+# and no key takes them.
 _JSON_TYPES = {
     int: ("an integer", "integers", lambda v: type(v) is int),
     float: ("a finite number", "finite numbers",
             lambda v: type(v) in (int, float) and math.isfinite(v)),
-    bool: ("true, false, 0 or 1", "booleans", lambda v: type(v) in (bool, int) and v in (0, 1)),
     str: ("a string", "strings", lambda v: type(v) is str),
 }
 
@@ -170,19 +169,18 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "RunConfig":
-        def build(section: str, **extra):
+        def build(section: str):
             owner, keys = _SCHEMA[section]
             try:
-                return owner(**{k: _from_json(cfg[section][k]) for k in keys}, **extra)
+                return owner(**{k: _from_json(cfg[section][k]) for k in keys})
             except ValueError as exc:  # its message starts with the key
                 raise ValueError(f"{section}.{exc}") from None
 
         for key, least in _LEAST.items():
             if (value := reduce(dict.__getitem__, key.split("."), cfg)) < least:
                 raise ValueError(f"{key} must be >= {least}, got {value}")
-        osc = build("oscillator")
         return cls(
-            oscillator=osc,
+            oscillator=build("oscillator"),
             ranges=build("sampling"),
             n_samples=cfg["dataset"]["n_samples"],
             data_seed=cfg["dataset"]["seed"],
@@ -190,7 +188,7 @@ class RunConfig:
             arch=build("network"),
             init_seed=cfg["network"]["init_seed"],
             train_config=build("training"),
-            sweep_spec=build("sweep", cfg=osc),
+            sweep_spec=build("sweep"),
             phasespace_spec=build("phasespace"),
             out_dir=Path(cfg["out_dir"]),
         )
@@ -204,8 +202,14 @@ def _load_run_config(args) -> RunConfig:
     """The config: defaults, then the --config file, then the flags given."""
     cfg = default_config()
     if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            _merge(cfg, json.load(fh))
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                from_file = json.load(fh)
+            if not isinstance(from_file, dict):
+                raise ValueError(f"config must be a JSON object, got {type(from_file).__name__}")
+        except ValueError as exc:  # a JSON syntax error too, which names its line and column
+            raise ValueError(f"{args.config}: {exc}") from None
+        _merge(cfg, from_file)
     for key, _ in _FLAGS.values():
         override = getattr(args, key, None)
         if override is not None:
@@ -292,7 +296,7 @@ def cmd_sweep(args) -> int:
     _, _, ranges = _read_metadata(_TextReader(dataset, DatasetFormatError))
     predict = _resolve_predictor(args, rc)
 
-    result = hbar_sweep(predict, rc.sweep_spec)
+    result = hbar_sweep(predict, rc.sweep_spec, rc.oscillator)
     save_sweep(result, rc.out_dir / SWEEP_FILE)
     report = convergence_report(predict, rc.sweep_spec, result, ranges.hbar_log10)
 

@@ -274,14 +274,13 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
     first = reader.pos + 1
     data = reader.rows(8)
     inputs = data[:, :4]
-    for name, column in zip(CSV_HEADER.split(","), inputs.T):  # x0, p0, sigma_x0, hbar
-        lo, hi = DOMAIN[name]
-        outside = np.flatnonzero((column < lo) | (column > hi))
-        if outside.size:
-            try:
-                check_domain((name, name, column[outside[0]]))
-            except ValueError as exc:
-                reader.fail(str(exc), first + int(outside[0]))
+    names = CSV_HEADER.split(",")[:4]  # x0, p0, sigma_x0, hbar
+    lo, hi = np.array([DOMAIN[name] for name in names]).T
+    for row, column in np.argwhere((inputs < lo) | (inputs > hi))[:1]:  # row-major: earliest line
+        try:
+            check_domain((names[column], names[column], inputs[row, column]))
+        except ValueError as exc:
+            reader.fail(str(exc), first + int(row))
     return Dataset(inputs=inputs, targets=data[:, 4:], config=cfg, seed=seed, ranges=ranges)
 
 

@@ -49,7 +49,6 @@ class SweepSpec:
     hbar_log10_min: float = -6.0
     hbar_log10_max: float = 0.0
     n_points: int = 50
-    cfg: OscillatorConfig = field(default_factory=OscillatorConfig)
     hbar_values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -154,11 +153,11 @@ def oracle_predictor(cfg: OscillatorConfig) -> Predictor:
     return predict
 
 
-def hbar_sweep(predict: Predictor, spec: SweepSpec) -> SweepResult:
-    """Predicted vs analytical widths over the spec's hbar list."""
+def hbar_sweep(predict: Predictor, spec: SweepSpec, cfg: OscillatorConfig) -> SweepResult:
+    """Predicted vs analytical widths, the latter under cfg, over the spec's hbar list."""
     inputs = _state_rows(spec, spec.hbar_values)
     preds = np.asarray(predict(inputs), dtype=np.float64)
-    analytical, _ = evolve_batch(spec.cfg, inputs)
+    analytical, _ = evolve_batch(cfg, inputs)
     sigma_xt_pred = preds[:, 2]
     sigma_xt_ana = analytical[:, 2]
     rel_err = np.abs(sigma_xt_pred - sigma_xt_ana) / sigma_xt_ana
@@ -221,7 +220,7 @@ def convergence_report(
     sweep: SweepResult,
     trained_hbar_log10_range: tuple[float, float],
 ) -> ConvergenceReport:
-    """Summary metrics of `sweep`, the result of hbar_sweep(predict, spec),
+    """Summary metrics of `sweep`, the result of hbar_sweep(predict, spec, cfg),
     against the trained hbar range.
 
     In-range rows (trained range is inclusive) contribute max/median relative

@@ -1,10 +1,10 @@
 """From-scratch feedforward network: dense layers, ReLU, batch normalization,
 exact backpropagation, Adam, and text serialization.
 
-Each hidden block applies affine -> ReLU -> batch normalization (activation
-belongs to the dense layer; normalization follows it), and the output layer
-is a plain affine map.  Batch normalization uses per-batch statistics with
-the biased variance while training and running statistics at inference:
+Every hidden block applies affine -> ReLU -> batch normalization (the paper's
+enhanced architecture), and the output layer is a plain affine map.  Batch
+normalization uses per-batch statistics with the biased variance while
+training and running statistics at inference:
 
     train:  y = gamma * (x - mean(x)) / sqrt(var(x) + eps) + beta
             running <- momentum * running + (1 - momentum) * batch_stat
@@ -12,13 +12,13 @@ the biased variance while training and running statistics at inference:
 
 An MlpModel is its ArchitectureSpec plus one float64 vector, `state`, laid
 out as [parameters | running statistics]: per block the dense weights
-(row-major), bias, and with batchnorm gamma and beta; the output weights and
-bias; then running_mean and running_var per batchnorm block.  The model sizes
-`state` from the spec and builds its layers as views of it, so a layer never
-owns storage; `params` is the parameter part.  backward() returns the exact
-gradient (differentiated through the batch statistics) in the layout of
-`params`, as the model-owned buffer `grad`, which the next call overwrites.
-All math is float64.
+(row-major), bias, gamma and beta; the output weights and bias; then
+running_mean and running_var per block.  The model sizes `state` from the
+spec and builds its layers as views of it, so a layer never owns storage;
+`params` is the parameter part.  backward() returns the exact gradient
+(differentiated through the batch statistics) in the layout of `params`, as
+the model-owned buffer `grad`, which the next call overwrites.  All math is
+float64.
 
 A training step runs in two lanes: the calling thread and one worker thread
 per process, started on first use.  backward() leaves each layer's weight
@@ -45,6 +45,7 @@ import numpy as np
 from .data import _TextReader, _write_text
 
 MODEL_FILE_MAGIC = "wignernet model v1"
+_BATCHNORM_LINE = "batchnorm 1"  # line 5 of a model file: every hidden block has one
 
 # Batch normalization's fixed hyperparameters (Ioffe & Szegedy, ICML 2015).
 BN_MOMENTUM = 0.99
@@ -62,21 +63,17 @@ class ModelFormatError(ValueError):
 
 @dataclass
 class ArchitectureSpec:
-    """Layer widths and options; the defaults give 4-128-256-256-128-4."""
+    """Layer widths; the defaults give 4-128-256-256-128-4."""
 
     input_dim: int = 4
     hidden_dims: tuple[int, ...] = (128, 256, 256, 128)
     output_dim: int = 4
-    batchnorm: bool = True
 
     def __post_init__(self):
         self.hidden_dims = tuple(int(d) for d in self.hidden_dims)
         dims = (self.input_dim, *self.hidden_dims, self.output_dim)
         if any(d < 1 for d in dims):
             raise ValueError(f"hidden_dims and the in and out widths must be >= 1, got {dims}")
-        if self.batchnorm not in (0, 1):
-            raise ValueError(f"batchnorm must be 0 or 1, got {self.batchnorm!r}")
-        self.batchnorm = bool(self.batchnorm)
 
 
 class DenseLayer:
@@ -158,7 +155,7 @@ class ForwardCache:
 
     block_inputs: list[np.ndarray]
     relu_masks: list[np.ndarray]  # 1.0 where the pre-activation is positive, else 0.0
-    bn_caches: list[tuple | None]
+    bn_caches: list[tuple]
     final_input: np.ndarray
     output: np.ndarray
 
@@ -178,18 +175,14 @@ def _layers(spec: ArchitectureSpec, param, stat):
     """The blocks and the output layer, their tensors taken in state order from
     param (parameters) and stat (running statistics)."""
     dims = (spec.input_dim, *spec.hidden_dims, spec.output_dim)
-    blocks = []
-    for fan_in, width in zip(dims, spec.hidden_dims):
-        dense = DenseLayer(param(width, fan_in), param(width))
-        bn = None
-        if spec.batchnorm:
-            bn = BatchNormLayer(param(width), param(width), stat(width), stat(width))
-        blocks.append((dense, bn))
+    blocks = [(DenseLayer(param(width, fan_in), param(width)),
+               BatchNormLayer(param(width), param(width), stat(width), stat(width)))
+              for fan_in, width in zip(dims, spec.hidden_dims)]
     return blocks, DenseLayer(param(dims[-1], dims[-2]), param(dims[-1]))
 
 
 class MlpModel:
-    """Dense/ReLU/batchnorm stack over one state vector.
+    """Dense -> ReLU -> batchnorm blocks and an affine output layer over one state vector.
 
     The constructor sizes `state` and `grad` from the spec, zeroed, and builds
     every layer over views of `state`; the same walk over `grad` gives the
@@ -205,7 +198,7 @@ class MlpModel:
         self.spec = spec
         self.init_seed = init_seed
         dims = (spec.input_dim, *spec.hidden_dims, spec.output_dim)
-        n_stats = 2 * sum(spec.hidden_dims) if spec.batchnorm else 0  # as many as gamma and beta
+        n_stats = 2 * sum(spec.hidden_dims)  # as many as gamma and beta
         n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:])) + n_stats
         self.state = np.zeros(n_params + n_stats)
         self.params = self.state[:n_params]
@@ -240,31 +233,24 @@ class MlpModel:
         """The inference pass over one tile; it writes no array but its own."""
         for dense, bn in self.blocks:
             x = dense.forward(x)
-            np.maximum(x, 0.0, out=x)
-            if bn is not None:
-                x = bn.forward_infer(x)
+            x = bn.forward_infer(np.maximum(x, 0.0, out=x))
         return self.output_layer.forward(x)
 
     def forward_train(self, x: np.ndarray):
         """Training pass with batch statistics; returns (output, cache).
 
-        Batches of a single row are rejected when batchnorm is present:
-        the batch variance of one sample is degenerate.
+        Batches of a single row are rejected when the model has a hidden
+        block: the batch variance of one sample is degenerate.
         """
         x = self._batch(x)
-        if x.shape[0] < 2 and any(bn is not None for _, bn in self.blocks):
-            raise ValueError(
-                f"train-mode batch must have >= 2 rows with batchnorm, got {x.shape[0]}"
-            )
+        if x.shape[0] < 2 and self.blocks:
+            raise ValueError(f"train-mode batch must have >= 2 rows with batchnorm, got {x.shape[0]}")
         block_inputs, relu_masks, bn_caches = [], [], []
         for dense, bn in self.blocks:
             block_inputs.append(x)
             z = dense.forward(x)
             relu_masks.append(np.greater(z, 0.0, out=np.empty_like(z)))
-            x = np.maximum(z, 0.0, out=z)
-            cache = None
-            if bn is not None:
-                x, cache = bn.forward_train(x)
+            x, cache = bn.forward_train(np.maximum(z, 0.0, out=z))
             bn_caches.append(cache)
         out = self.output_layer.forward(x)
         return out, ForwardCache(block_inputs, relu_masks, bn_caches, x, out)
@@ -294,7 +280,7 @@ def init_model(spec: ArchitectureSpec, seed: int) -> MlpModel:
         fan_out, fan_in = dense.weights.shape
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         dense.weights[...] = rng.uniform(-bound, bound, size=(fan_out, fan_in))
-    for bn in (bn for _, bn in model.blocks if bn is not None):
+    for _, bn in model.blocks:
         bn.gamma[...] = bn.running_var[...] = 1.0
     return model
 
@@ -332,8 +318,7 @@ def backward(model: MlpModel, cache: ForwardCache, target: np.ndarray) -> np.nda
         g = g @ model.output_layer.weights
         for i in range(len(model.blocks) - 1, -1, -1):
             (dense, bn), (grad_dense, grad_bn) = model.blocks[i], grad_blocks[i]
-            if bn is not None:
-                g = bn.backward(g, cache.bn_caches[i], grad_bn.gamma, grad_bn.beta)
+            g = bn.backward(g, cache.bn_caches[i], grad_bn.gamma, grad_bn.beta)
             g *= cache.relu_masks[i]
             submit(_dense_grad, g, cache.block_inputs[i], grad_dense)
             if i:  # block 0's input gradient would be the data's
@@ -470,7 +455,7 @@ def _model_lines(model: MlpModel):
     yield f"input_dim {spec.input_dim}"
     yield "hidden_dims " + " ".join(str(d) for d in spec.hidden_dims)
     yield f"output_dim {spec.output_dim}"
-    yield f"batchnorm {int(spec.batchnorm)}"
+    yield _BATCHNORM_LINE
     yield f"init_seed {model.init_seed}"
     layers = [(f"block {i}", dense, bn) for i, (dense, bn) in enumerate(model.blocks)]
     for name, dense, bn in layers + [("output", model.output_layer, None)]:
@@ -499,8 +484,8 @@ def load_model(path) -> MlpModel:
             input_dim=reader.value("input_dim", int),
             hidden_dims=reader.values("hidden_dims", kind=int),
             output_dim=reader.value("output_dim", int),
-            batchnorm=reader.value("batchnorm", int),
         )
+    reader.line(_BATCHNORM_LINE)
     model = MlpModel(spec, init_seed=reader.value("init_seed", int))
     for line in itertools.islice(_model_lines(model), reader.pos, None):  # past the header
         if isinstance(line, str):

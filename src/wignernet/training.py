@@ -78,7 +78,7 @@ def train(
         raise ValueError("training and validation splits must be nonempty")
     if train_idx.size < config.batch_size:
         raise ValueError(
-            f"training split has {train_idx.size} rows, below batch size {config.batch_size}"
+            f"training split has {train_idx.size} rows, below training.batch_size {config.batch_size}"
         )
 
     rng = np.random.default_rng(config.shuffle_seed)

@@ -105,11 +105,10 @@ class TestConfig:
             ("sampling.x0", [float("-inf"), 5], "a list of 2 finite numbers"),
             ("sampling.x0", [-5, 0, 5], "a list of 2 finite numbers"),
             ("phasespace.hbar_values", 1.0, "a list of finite numbers"),
-            ("network.batchnorm", "no", "true, false, 0 or 1"),
             ("out_dir", 5, "a string"),
         ],
         ids=["t-string", "t-null", "t-true", "omega-infinite", "x0-infinite-bound",
-             "x0-three-values", "hbar_values-scalar", "batchnorm-string", "out_dir-int"],
+             "x0-three-values", "hbar_values-scalar", "out_dir-int"],
     )
     def test_value_must_have_its_defaults_json_type(self, tmp_path, capsys, key, value, expected):
         cfg = tmp_path / "bad.json"
@@ -124,12 +123,36 @@ class TestConfig:
         assert run("train", "--config", cfg, "--out-dir", tmp_path / "run") == 1
         assert capsys.readouterr().err == "error: unknown config key 'training.restore_best'\n"
 
-    def test_float_keys_take_integers_and_batchnorm_takes_0_or_1(self, tmp_path):
-        cfg = small_config(tmp_path, oscillator={"t": 5, "m": 1}, network={"batchnorm": 0},
+    def test_batchnorm_is_not_a_key(self, tmp_path, capsys):
+        cfg = tmp_path / "old.json"
+        cfg.write_text(json.dumps(nested("network.batchnorm", True)))
+        assert run("train", "--config", cfg, "--out-dir", tmp_path / "run") == 1
+        assert capsys.readouterr().err == "error: unknown config key 'network.batchnorm'\n"
+
+    def test_float_keys_take_integers(self, tmp_path):
+        cfg = small_config(tmp_path, oscillator={"t": 5, "m": 1},
                            training={"max_epochs": 1, "batch_size": 16, "learning_rate": 1})
         assert run("generate", "--config", cfg) == 0
         assert run("train", "--config", cfg) == 0
-        assert "batchnorm 0\n" in (tmp_path / "run" / "model.txt").read_text()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("[1, 2]", "config must be a JSON object, got list"),
+         ("null", "config must be a JSON object, got NoneType"),
+         ("{'out_dir': 'x'}",
+          "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+         ("", "Expecting value: line 1 column 1 (char 0)")],
+        ids=["list", "null", "single-quotes", "empty"],
+    )
+    def test_config_file_that_is_not_a_json_object_fails_naming_it(
+        self, tmp_path, capsys, text, message
+    ):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        for command in ("generate", "train", "eval", "sweep", "phasespace"):
+            assert run(command, "--config", cfg, "--out-dir", tmp_path / "run") == 1
+            assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+        assert not (tmp_path / "run").exists()
 
 
 # Every flag each command takes; a flag not listed for a command is rejected.
@@ -407,6 +430,15 @@ class TestTrain:
         cfg = small_config(tmp_path)
         assert run("train", "--config", cfg) != 0
 
+    def test_training_split_below_the_batch_size_fails_naming_the_key(self, tmp_path, capsys):
+        cfg = small_config(tmp_path)
+        assert run("generate", "--config", cfg, "--n", 10) == 0
+        capsys.readouterr()
+        assert run("train", "--config", cfg) == 1
+        err = capsys.readouterr().err
+        assert err == "error: training split has 8 rows, below training.batch_size 16\n"
+        assert not (tmp_path / "run" / "model.txt").exists()
+
 
 class TestEval:
     def test_oracle_mode_scores_zero(self, tmp_path, capsys):
@@ -463,27 +495,32 @@ class TestDatasetMetadata:
         assert capsys.readouterr().err == f"error: {path}: line {lineno}: {message}\n"
 
     @pytest.mark.parametrize(
-        "column, value", [(0, "2e6"), (1, "-1e300"), (2, "1e300"), (3, "1e-300")],
-        ids=["x0", "p0", "sigma_x0", "hbar"],
+        "edits",
+        [{10: (0, "2e6")}, {10: (1, "-1e300")}, {10: (2, "1e300")}, {10: (3, "1e-300")},
+         {14: (0, "1e300"), 10: (3, "1e300")}],
+        ids=["x0", "p0", "sigma_x0", "hbar", "hbar-before-x0"],
     )
     def test_row_outside_the_domain_fails_naming_its_line_column_and_bound(
-        self, tmp_path, capsys, column, value
+        self, tmp_path, capsys, edits
     ):
         """A data row's inputs are checked against the domain before the oracle
-        labels them, so an overflowing cell fails without a warning."""
+        labels them, so an overflowing cell fails without a warning.  Of several
+        such cells, the one on the earliest line is named, whatever its column."""
         cfg = small_config(tmp_path)
         assert run("generate", "--config", cfg) == 0
         path = tmp_path / "run" / "dataset.csv"
         lines = path.read_text().splitlines()
-        cells = lines[9].split(",")  # line 10, the first data row
-        cells[column] = value
-        lines[9] = ",".join(cells)
+        for lineno, (column, value) in edits.items():  # line 10 is the first data row
+            cells = lines[lineno - 1].split(",")
+            cells[column] = value
+            lines[lineno - 1] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert run("eval", "--config", cfg, "--oracle") == 1
         assert caught == []
+        column, value = edits[10]
         name = ("x0", "p0", "sigma_x0", "hbar")[column]
         lo, hi = DOMAIN[name]
         message = f"line 10: {name} {float(value)} is outside [{lo:g}, {hi:g}]"

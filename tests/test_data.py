@@ -318,6 +318,15 @@ class TestSplitRoundTrip:
         with pytest.raises(DatasetFormatError):
             load_splits(path)
 
+    @pytest.mark.parametrize("row, count", [("1,train,x", 3), ("1", 1)])
+    def test_wrong_cell_count_names_line(self, tmp_path, row, count):
+        path = tmp_path / "splits.csv"
+        path.write_text(f"index,split\n0,train\n{row}\n2,test\n")
+        with pytest.raises(DatasetFormatError) as excinfo:
+            load_splits(path)
+        message = f"line 3: expected 2 comma-separated values, got {count}"
+        assert str(excinfo.value) == f"{path}: {message}"
+
     @pytest.mark.parametrize("row", ["0,test", "999,train"])  # repeated, out of range
     def test_index_out_of_sequence_names_line(self, tmp_path, row):
         path = tmp_path / "splits.csv"

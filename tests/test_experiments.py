@@ -20,7 +20,8 @@ from wignernet.experiments import (
 )
 from wignernet.oscillator import OscillatorConfig
 
-ORACLE = oracle_predictor(OscillatorConfig())
+STOCK = OscillatorConfig()
+ORACLE = oracle_predictor(STOCK)
 
 
 def constant_predictor(row=(0.3, 0.9, 0.85, 0.85)):
@@ -89,24 +90,24 @@ class TestSpecs:
 
 class TestHbarSweep:
     def test_analytical_column_at_unit_hbar(self):
-        result = hbar_sweep(ORACLE, SweepSpec())
+        result = hbar_sweep(ORACLE, SweepSpec(), STOCK)
         assert result.hbar[-1] == pytest.approx(1.0)
         assert result.sigma_xt_analytical[-1] == pytest.approx(0.8475635726972683, abs=1e-12)
 
     def test_analytical_column_strictly_increasing_in_hbar(self):
-        result = hbar_sweep(ORACLE, SweepSpec())
+        result = hbar_sweep(ORACLE, SweepSpec(), STOCK)
         assert np.all(np.diff(result.sigma_xt_analytical) > 0)
 
     def test_oracle_self_consistency(self):
         """The closed form standing in for the model gives zero error everywhere."""
-        result = hbar_sweep(ORACLE, SweepSpec())
+        result = hbar_sweep(ORACLE, SweepSpec(), STOCK)
         assert np.all(result.rel_err <= 1e-12)
         assert np.array_equal(result.sigma_xt_pred, result.sigma_xt_analytical)
         assert np.array_equal(result.sigma_pt_pred, result.sigma_pt_analytical)
         assert result.n_degenerate == 0
 
     def test_degenerate_predictions_become_missing_points(self):
-        result = hbar_sweep(constant_predictor((0.0, 0.0, -1.0, 1.0)), SweepSpec())
+        result = hbar_sweep(constant_predictor((0.0, 0.0, -1.0, 1.0)), SweepSpec(), STOCK)
         assert result.n_degenerate == result.hbar.size
         assert np.all(np.isnan(result.rel_err))
 
@@ -152,7 +153,8 @@ class TestPhaseSpaceGrids:
 def sweep_report(predict, trained_hbar_log10_range):
     """convergence_report over the stock sweep, as `wignernet sweep` computes it."""
     spec = SweepSpec()
-    return convergence_report(predict, spec, hbar_sweep(predict, spec), trained_hbar_log10_range)
+    sweep = hbar_sweep(predict, spec, STOCK)
+    return convergence_report(predict, spec, sweep, trained_hbar_log10_range)
 
 
 class TestConvergenceReport:
@@ -185,7 +187,7 @@ class TestConvergenceReport:
 
 class TestCsvOutputs:
     def test_sweep_csv_layout(self, tmp_path):
-        result = hbar_sweep(ORACLE, SweepSpec())
+        result = hbar_sweep(ORACLE, SweepSpec(), STOCK)
         path = tmp_path / "sweep.csv"
         save_sweep(result, path)
         lines = path.read_text().splitlines()

@@ -24,8 +24,8 @@ from wignernet.network import (
 )
 
 
-def small_spec(hidden=(8,), batchnorm=True):
-    return ArchitectureSpec(input_dim=4, hidden_dims=hidden, output_dim=4, batchnorm=batchnorm)
+def small_spec(hidden=(8,)):
+    return ArchitectureSpec(input_dim=4, hidden_dims=hidden, output_dim=4)
 
 
 def random_batch(rng, b=16):
@@ -55,7 +55,7 @@ class TestInitModel:
         shapes = [dense.weights.shape for dense, _ in model.blocks]
         assert shapes == [(128, 4), (256, 128), (256, 256), (128, 256)]
         assert model.output_layer.weights.shape == (4, 128)
-        assert all(bn is not None for _, bn in model.blocks)
+        assert all(isinstance(bn, BatchNormLayer) for _, bn in model.blocks)
 
     def test_weights_respect_glorot_bound(self):
         model = init_model(ArchitectureSpec(), seed=1)
@@ -120,7 +120,7 @@ class TestForward:
             model.forward_train(np.zeros((1, 4)))
 
     def test_train_mode_allows_single_row_without_batchnorm(self):
-        model = init_model(small_spec(batchnorm=False), seed=0)
+        model = init_model(small_spec(hidden=()), seed=0)  # no hidden block, so no batchnorm
         out, _ = model.forward_train(np.zeros((1, 4)))
         assert out.shape == (1, 4)
 
@@ -165,7 +165,7 @@ class TestBackward:
     def test_linear_model_matches_closed_form(self):
         """For a bare 4->4 affine map, dW = (2/(B*4)) err^T x and db = (2/(B*4)) sum err."""
         rng = np.random.default_rng(6)
-        model = init_model(small_spec(hidden=(), batchnorm=False), seed=6)
+        model = init_model(small_spec(hidden=()), seed=6)
         x, y = random_batch(rng, b=10)
         out, cache = model.forward_train(x)
         grads = per_tensor(backward(model, cache, y), model.parameters())
@@ -198,7 +198,7 @@ class TestGradCheck:
             assert worst <= 1e-5, f"seed {seed}: max relative error {worst:.3e}"
 
     def test_linear_model_is_exact_to_rounding(self):
-        model = init_model(small_spec(hidden=(), batchnorm=False), seed=0)
+        model = init_model(small_spec(hidden=()), seed=0)
         rng = np.random.default_rng(42)
         x, y = random_batch(rng, b=8)
         assert grad_check(model, x, y, epsilon_fd=1e-4) <= 1e-8
@@ -371,12 +371,11 @@ class TestFlatState:
 
         def tensors(layers):
             blocks, output_layer = layers
-            held = [layer for block in blocks for layer in block if layer is not None]
+            held = [layer for block in blocks for layer in block]
             return [t for layer in held + [output_layer] for t in vars(layer).values()
                     if isinstance(t, np.ndarray)]
 
-        for spec in (small_spec(hidden=(8, 6)), small_spec(hidden=(8, 6), batchnorm=False),
-                     small_spec(hidden=())):
+        for spec in (small_spec(hidden=(8, 6)), small_spec(hidden=())):
             model = build(spec)
             layer_tensors = tensors((model.blocks, model.output_layer))
             assert {id(t) for t in layer_tensors} == {id(t) for t in model.state_arrays()}
@@ -488,11 +487,7 @@ class TestSerialization:
         save_model(load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    @pytest.mark.parametrize(
-        "spec",
-        [small_spec(hidden=(8, 6), batchnorm=False), small_spec(hidden=())],
-        ids=["no-batchnorm", "no-hidden-layer"],
-    )
+    @pytest.mark.parametrize("spec", [small_spec(hidden=())], ids=["no-hidden-layer"])
     def test_save_load_save_is_byte_identical_for_every_layout(self, tmp_path, spec):
         p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
         save_model(self.trained_ish_model(seed=3, spec=spec), p1)
@@ -542,7 +537,6 @@ class TestSerialization:
             ("end\n", "end\nw 1 2 3 4\n", 46),
             ("end\n", "end\n\n", 46),
             ("input_dim 4\n", "input_dim 0\n", 2),
-            ("batchnorm 1\n", "batchnorm 2\n", 2),
             ("momentum 0.98999999999999999\n", "momentum 2\n", 18),
             ("momentum 0.98999999999999999\n", "momentum 0.9\n", 18),
             ("epsilon 0.001\n", "epsilon 0\n", 19),
@@ -554,7 +548,6 @@ class TestSerialization:
             "line-after-end",
             "blank-after-end",
             "zero-width",
-            "batchnorm-not-0-or-1",
             "momentum-above-1",
             "momentum-not-0.99",
             "epsilon-not-0.001",
@@ -565,6 +558,15 @@ class TestSerialization:
         with pytest.raises(ModelFormatError, match=f"line {lineno}: ") as excinfo:
             load_model(path)
         assert str(path) in str(excinfo.value)
+
+    @pytest.mark.parametrize("value", ["0", "2"])
+    def test_batchnorm_line_must_read_1(self, tmp_path, value):
+        """Every hidden block has batchnorm, so line 5 is always `batchnorm 1`."""
+        path = self.edited_file(tmp_path, "batchnorm 1\n", f"batchnorm {value}\n")
+        with pytest.raises(ModelFormatError) as excinfo:
+            load_model(path)
+        expected = f"line 5: expected 'batchnorm 1', got 'batchnorm {value}'"
+        assert str(excinfo.value) == f"{path}: {expected}"
 
     @pytest.mark.parametrize(
         "old, new, lineno",

@@ -50,10 +50,8 @@ def affine_dataset(n=300, seed=0):
     return synthetic_dataset(inputs, inputs @ matrix.T + shift)
 
 
-def tiny_model(seed=0, hidden=(16,), batchnorm=True):
-    return init_model(
-        ArchitectureSpec(input_dim=4, hidden_dims=hidden, output_dim=4, batchnorm=batchnorm), seed
-    )
+def tiny_model(seed=0, hidden=(16,)):
+    return init_model(ArchitectureSpec(input_dim=4, hidden_dims=hidden, output_dim=4), seed)
 
 
 class TestTrainConfig:
@@ -82,9 +80,9 @@ class TestTrainLoop:
     def test_learns_affine_target(self):
         """Validation loss on a realizable target falls below 1e-4 within 200 epochs.
 
-        The sanity oracle runs without batchnorm: its slow-moving running
-        statistics floor the inference-mode loss well above what the exactly
-        realizable target admits.
+        The sanity oracle is the linear model, with no hidden block and so no
+        batchnorm: batchnorm's slow-moving running statistics floor the
+        inference-mode loss well above what the exactly realizable target admits.
         """
         ds = affine_dataset()
         splits = split_indices(ds.n_rows, seed=1)
@@ -95,7 +93,7 @@ class TestTrainLoop:
             learning_rate=0.01,
             shuffle_seed=2,
         )
-        _, report = train(tiny_model(seed=1, batchnorm=False), ds, splits, config)
+        _, report = train(tiny_model(seed=1, hidden=()), ds, splits, config)
         assert report.final_val_loss < 1e-4
         assert report.final_train_loss < report.train_loss_per_epoch[0] / 100.0
 
@@ -200,7 +198,7 @@ class TestTrainLoop:
         splits = SplitIndices(
             train=np.arange(0, 4), validation=np.arange(4, 12), test=np.arange(12, 20)
         )
-        with pytest.raises(ValueError, match="batch size"):
+        with pytest.raises(ValueError, match="has 4 rows, below training.batch_size 8"):
             train(tiny_model(), ds, splits, TrainConfig(batch_size=8, max_epochs=1))
 
     def test_rejects_empty_validation_split(self):
