@@ -101,29 +101,35 @@ class _TextReader:
         tokens = line[len(label) :].split()
         if count is not None and len(tokens) != count:
             self.fail(f"expected {count} values after {label!r}, got {len(tokens)}")
-        return self._parse(tokens, kind)
+        try:  # ints through Python, so that a seed of any size reads back exactly
+            parsed = np.array([int(t) for t in tokens]) if kind is int else np.array(tokens, kind)
+        except ValueError as exc:  # the message names the value
+            self.fail(str(exc))
+        self._finite(parsed[np.newaxis], self.pos)
+        return parsed
 
     def value(self, label: str, kind=float):
         """The one value of the next line, `label v`."""
         return self.values(label, 1, kind).item()
 
     def rows(self, width: int, kind=float) -> np.ndarray:
-        """The remaining lines, as an (n, width) array of their comma-separated
-        values: finite floats, or with kind=object the cells' text."""
+        """The remaining lines, each converted once, in order, into its row of an (n, width)
+        array of their comma-separated values: finite floats, or with kind=object their text."""
         first = self.pos + 1
-        cells = [line.split(",") for line in self.lines[self.pos :]]
+        lines = self.lines[self.pos :]
         self.pos = len(self.lines)
-        try:  # one conversion for the whole body; a failure is then found line by line
-            data = np.array(cells, dtype=kind).reshape(len(cells), width)
-            if kind is not float or np.isfinite(data).all():
-                return data
-        except ValueError:
-            pass
-        for lineno, row in enumerate(cells, first):
-            if len(row) != width:
-                self.fail(f"expected {width} comma-separated values, got {len(row)}", lineno)
-            self._parse(row, kind, lineno)
-        raise AssertionError("unreachable: a row failed to parse")
+        data = np.empty((len(lines), width), dtype=kind)
+        for lineno, (row, line) in enumerate(zip(data, lines), first):
+            cells = line.split(",")
+            try:
+                if len(cells) != width:
+                    raise ValueError(f"expected {width} comma-separated values, got {len(cells)}")
+                row[...] = cells
+            except ValueError as exc:  # the rows before it first, so the earliest bad line is named
+                self._finite(data[: lineno - first], first)
+                self.fail(str(exc), lineno)
+        self._finite(data, first)
+        return data
 
     @contextmanager
     def group(self):
@@ -141,14 +147,10 @@ class _TextReader:
         if self.pos < len(self.lines):
             self.fail(f"unexpected line {self.lines[self.pos][:40]!r}", self.pos + 1)
 
-    def _parse(self, tokens: list[str], kind, lineno: int | None = None) -> np.ndarray:
-        try:  # ints through Python, so that a seed of any size reads back exactly
-            parsed = np.array([int(t) for t in tokens]) if kind is int else np.array(tokens, kind)
-        except ValueError as exc:  # the message names the value
-            self.fail(str(exc), lineno)
-        if kind is float and not np.isfinite(parsed).all():
-            self.fail("non-finite value", lineno)
-        return parsed
+    def _finite(self, data: np.ndarray, first: int) -> None:
+        """Fail unless float rows `data`, from line `first` on, are finite, naming the earliest."""
+        if data.dtype == float and not np.isfinite(data).all():
+            self.fail("non-finite value", first + int(np.argmin(np.isfinite(data).all(axis=1))))
 
 
 @dataclass

@@ -15,7 +15,7 @@ NaN relative error (a missing point) and is excluded from summary metrics.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -28,24 +28,32 @@ from .oscillator import (
 Predictor = Callable[[np.ndarray], np.ndarray]
 
 
-def _state_rows(spec, hbars: np.ndarray) -> np.ndarray:
-    """The spec's (x0, p0, sigma_x0) at each hbar, as predictor input rows."""
-    inputs = np.empty((hbars.size, 4))
-    inputs[:, 0] = spec.x0
-    inputs[:, 1] = spec.p0
-    inputs[:, 2] = spec.sigma_x0
-    inputs[:, 3] = hbars
-    return inputs
-
-
 @dataclass
-class SweepSpec:
-    """Fixed initial state swept over n_points log-spaced hbar values, from
-    10**hbar_log10_min to 10**hbar_log10_max: hbar_values, sorted strictly ascending."""
+class _InitialPacket:
+    """The initial state (x0, p0, sigma_x0) an experiment holds fixed."""
 
     x0: float = 1.0
     p0: float = 0.0
     sigma_x0: float = 1.0
+
+    def __post_init__(self):
+        check_domain(*((k, k, getattr(self, k)) for k in ("x0", "p0", "sigma_x0")))
+
+    def _state_rows(self, hbars: np.ndarray) -> np.ndarray:
+        """The initial state at each hbar, as predictor input rows."""
+        inputs = np.empty((hbars.size, 4))
+        inputs[:, 0] = self.x0
+        inputs[:, 1] = self.p0
+        inputs[:, 2] = self.sigma_x0
+        inputs[:, 3] = hbars
+        return inputs
+
+
+@dataclass
+class SweepSpec(_InitialPacket):
+    """Fixed initial state swept over n_points log-spaced hbar values, from
+    10**hbar_log10_min to 10**hbar_log10_max: hbar_values, sorted strictly ascending."""
+
     hbar_log10_min: float = -6.0
     hbar_log10_max: float = 0.0
     n_points: int = 50
@@ -55,10 +63,8 @@ class SweepSpec:
         lo, hi, n = self.hbar_log10_min, self.hbar_log10_max, self.n_points
         if n < 1:
             raise ValueError(f"n_points must be >= 1, got {n}")
-        check_domain(
-            *((k, k, getattr(self, k)) for k in ("x0", "p0", "sigma_x0")),
-            ("hbar_log10_min", "hbar_log10", lo), ("hbar_log10_max", "hbar_log10", hi),
-        )
+        super().__post_init__()
+        check_domain(("hbar_log10_min", "hbar_log10", lo), ("hbar_log10_max", "hbar_log10", hi))
         self.hbar_values = np.logspace(lo, hi, n)
         if np.any(np.diff(self.hbar_values) <= 0):
             raise ValueError(f"hbar_log10_min {lo} to max {hi} must give {n} ascending hbar values")
@@ -71,12 +77,9 @@ def _phase_space_file(hbar: float) -> str:
 
 
 @dataclass
-class PhaseSpaceSpec:
+class PhaseSpaceSpec(_InitialPacket):
     """Fixed initial state evaluated on a square phase-space grid per hbar."""
 
-    x0: float = 1.0
-    p0: float = 0.0
-    sigma_x0: float = 1.0
     hbar_values: tuple[float, ...] = (1.0, 0.1, 0.01)
     grid_min: float = -10.0
     grid_max: float = 10.0
@@ -85,8 +88,8 @@ class PhaseSpaceSpec:
     def __post_init__(self):
         if not self.hbar_values:
             raise ValueError("hbar_values must be nonempty")
+        super().__post_init__()
         check_domain(
-            *((k, k, getattr(self, k)) for k in ("x0", "p0", "sigma_x0")),
             *(("hbar_values", "hbar", h) for h in self.hbar_values),
             ("grid_min", "grid", self.grid_min),
             ("grid_max", "grid", self.grid_max),
@@ -155,7 +158,7 @@ def oracle_predictor(cfg: OscillatorConfig) -> Predictor:
 
 def hbar_sweep(predict: Predictor, spec: SweepSpec, cfg: OscillatorConfig) -> SweepResult:
     """Predicted vs analytical widths, the latter under cfg, over the spec's hbar list."""
-    inputs = _state_rows(spec, spec.hbar_values)
+    inputs = spec._state_rows(spec.hbar_values)
     preds = np.asarray(predict(inputs), dtype=np.float64)
     analytical, _ = evolve_batch(cfg, inputs)
     sigma_xt_pred = preds[:, 2]
@@ -179,22 +182,15 @@ def phase_space_grids(predict: Predictor, spec: PhaseSpaceSpec) -> list[PhaseSpa
     and maximum.  peak_value is the Gaussian evaluated at the predicted
     center, 1/(pi hbar) exactly.
     """
-    inputs = _state_rows(spec, np.array(spec.hbar_values, dtype=np.float64))
+    inputs = spec._state_rows(np.array(spec.hbar_values, dtype=np.float64))
     results = []
     for k, hbar in enumerate(spec.hbar_values):  # (1, 4) batches: a wider one may move last bits
         pred = np.asarray(predict(inputs[k : k + 1]), dtype=np.float64)[0]
         xt, pt, sigma_xt, sigma_pt = pred
-        if sigma_xt <= 0 or sigma_pt <= 0:
-            results.append(
-                PhaseSpaceResult(
-                    hbar=hbar,
-                    prediction=pred,
-                    error=(
-                        f"degenerate prediction at hbar={hbar:g}: "
-                        f"sigma_xt={sigma_xt:g}, sigma_pt={sigma_pt:g} (must be positive)"
-                    ),
-                )
-            )
+        if not (sigma_xt > 0 and sigma_pt > 0):  # NaN is degenerate too
+            widths = f"sigma_xt={sigma_xt:g}, sigma_pt={sigma_pt:g}"
+            error = f"degenerate prediction at hbar={hbar:g}: {widths} (must be positive)"
+            results.append(PhaseSpaceResult(hbar=hbar, prediction=pred, error=error))
             continue
         w = GaussianWigner(center_x=xt, center_p=pt, sigma_x=sigma_xt, sigma_p=sigma_pt, hbar=hbar)
         values, x_axis, p_axis = wigner_grid(
@@ -231,7 +227,7 @@ def convergence_report(
     emulated packet keeps localizing beyond the data it was fitted on.
     """
     lo, hi = trained_hbar_log10_range
-    hbar_min, hbar_max = 10.0**lo, 10.0**hi
+    hbar_min, hbar_max = np.power(10.0, [lo, hi]).tolist()  # numpy's power, as np.logspace's
     in_range = (sweep.hbar >= hbar_min) & (sweep.hbar <= hbar_max) & np.isfinite(sweep.rel_err)
     if np.any(in_range):
         max_rel = float(np.max(sweep.rel_err[in_range]))
@@ -241,7 +237,7 @@ def convergence_report(
         median_rel = float("nan")
 
     probes = np.logspace(lo - 2.0, lo, 10)
-    probe_preds = np.asarray(predict(_state_rows(spec, probes)), dtype=np.float64)[:, 2]
+    probe_preds = np.asarray(predict(spec._state_rows(probes)), dtype=np.float64)[:, 2]
     decreasing = bool(probe_preds[0] < probe_preds[-1])
 
     return ConvergenceReport(
@@ -256,17 +252,9 @@ def convergence_report(
 
 
 def save_sweep(result: SweepResult, path: str | os.PathLike) -> None:
-    """Plot-ready sweep CSV, one row per hbar."""
-    header = "hbar,sigma_xt_pred,sigma_xt_analytical,rel_err,sigma_pt_pred,sigma_pt_analytical"
-    rows = zip(
-        result.hbar,
-        result.sigma_xt_pred,
-        result.sigma_xt_analytical,
-        result.rel_err,
-        result.sigma_pt_pred,
-        result.sigma_pt_analytical,
-    )
-    _write_text(path, [header], rows)
+    """Plot-ready sweep CSV, one row per hbar, one column per SweepResult field."""
+    names = [f.name for f in fields(result)]
+    _write_text(path, [",".join(names)], zip(*(getattr(result, name) for name in names)))
 
 
 def save_phase_space(result: PhaseSpaceResult, path: str | os.PathLike) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,14 @@ from wignernet.network import ArchitectureSpec, _model_lines, init_model
 from wignernet.oscillator import OscillatorConfig, evolve_batch
 
 CFG = OscillatorConfig()
+
+
+def body(*rows):
+    """An (old, new) edit that puts `rows` first in a dataset's body, from line 10."""
+    return CSV_HEADER + "\n", CSV_HEADER + "\n" + "".join(row + "\n" for row in rows)
+
+
+GOOD, NAN, BAD, SHORT = "1,0,1,1,1,0,1,1", "1,0,1,1,nan,0,1,1", "1,0,x,1,1,0,1,1", "1,0,1"
 
 
 class TestSamplingRanges:
@@ -244,6 +253,9 @@ class TestDatasetRoundTrip:
             ("# x0_range -5 5\n", "# x0_range 5 -5\n", 5),
             (",0.57313656609075214,", ",-0.57313656609075214,", 12),  # sigma_x0 of row 3
             (",2.5530611089982403e-05,", ",-1,", 12),  # hbar of row 3
+            (*body(GOOD, NAN, GOOD, BAD), 11),  # the earliest bad line, whatever fails on it
+            (*body(GOOD, BAD, GOOD, NAN), 11),
+            (*body(GOOD, NAN, GOOD, SHORT), 11),
         ],
         ids=[
             "extra-value",
@@ -256,6 +268,9 @@ class TestDatasetRoundTrip:
             "inverted-range",
             "nonpositive-sigma-x0",
             "nonpositive-hbar",
+            "nan-before-text",
+            "text-before-nan",
+            "nan-before-short-row",
         ],
     )
     def test_malformed_line_is_named(self, tmp_path, old, new, lineno):
@@ -267,6 +282,18 @@ class TestDatasetRoundTrip:
         with pytest.raises(DatasetFormatError, match=f"line {lineno}: ") as excinfo:
             load_dataset(path)
         assert str(path) in str(excinfo.value)
+
+    def test_load_peak_memory_is_a_small_multiple_of_the_file(self, tmp_path):
+        """Each line is converted on its own: no list of every cell's text."""
+        path = tmp_path / "ds.csv"
+        save_dataset(self.make_dataset(n=10_000), path)
+        tracemalloc.start()
+        try:
+            load_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * path.stat().st_size
 
     def test_empty_file_raises_distinct_error(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -143,11 +143,12 @@ class TestPhaseSpaceGrids:
             assert peak == pytest.approx(1.0 / (math.pi * hbar), rel=1e-12)
 
     def test_degenerate_width_reported_per_hbar(self):
-        results = phase_space_grids(constant_predictor((0.0, 0.0, -0.5, 0.5)), PhaseSpaceSpec())
-        assert all(res.error is not None for res in results)
-        assert all(res.values is None for res in results)
-        for res in results:
-            assert "degenerate" in res.error
+        for row in [(0.0, 0.0, -0.5, 0.5), (math.nan,) * 4]:  # a NaN width is no width either
+            results = phase_space_grids(constant_predictor(row), PhaseSpaceSpec())
+            assert all(res.error is not None for res in results)
+            assert all(res.values is None for res in results)
+            for res in results:
+                assert "degenerate" in res.error
 
 
 def sweep_report(predict, trained_hbar_log10_range):
@@ -175,6 +176,15 @@ class TestConvergenceReport:
         report = sweep_report(ORACLE, trained_hbar_log10_range=(-3.0, 0.0))
         assert report.n_in_range == sum(SweepSpec().hbar_values >= 1e-3)
         assert report.trained_hbar_min == pytest.approx(1e-3)
+
+    def test_trained_bounds_are_the_sweeps_own_hbar_values(self):
+        """A sweep over exactly the trained range lies wholly inside it: at every
+        tenth in the domain, 10**lo as np.logspace computes it is in range."""
+        for lo in (np.arange(-120, 31) / 10).tolist():
+            spec = SweepSpec(hbar_log10_min=lo, hbar_log10_max=lo, n_points=1)
+            sweep = hbar_sweep(ORACLE, spec, STOCK)
+            report = convergence_report(ORACLE, spec, sweep, (lo, lo))
+            assert report.n_in_range == 1, lo
 
     def test_degenerate_rows_excluded(self):
         report = sweep_report(
