@@ -9,8 +9,9 @@ Any subset of keys may appear in a user config; missing keys keep their
 defaults, and each setting flag (_FLAGS) overrides one key, checked as the
 file's values are.  Every evaluation command accepts --oracle, which
 substitutes the exact closed form for the network and therefore must
-produce zero error.  With fixed seeds the whole
-pipeline is deterministic: re-running produces byte-identical files.
+produce zero error.  Only generate and phasespace read the config's oscillator; eval
+and sweep take it from the dataset's `#` lines.  With fixed seeds the whole pipeline
+is deterministic: re-running produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -27,11 +28,9 @@ import numpy as np
 
 from .data import (
     CSV_HEADER,
-    DatasetFormatError,
     SamplingRanges,
     _MIN_ROWS,
-    _read_metadata,
-    _TextReader,
+    _read_header,
     _write_text,
     build_dataset,
     load_dataset,
@@ -221,10 +220,10 @@ def _load_run_config(args) -> RunConfig:
     return rc
 
 
-def _resolve_predictor(args, rc: RunConfig):
-    """Pick the network or the exact closed form, per --oracle."""
+def _resolve_predictor(args, rc: RunConfig, oscillator: OscillatorConfig):
+    """Pick the network or the exact closed form under `oscillator`, per --oracle."""
     if args.oracle:
-        return oracle_predictor(rc.oscillator)
+        return oracle_predictor(oscillator)
     return load_model(args.model or rc.out_dir / MODEL_FILE).forward
 
 
@@ -277,7 +276,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     rc = _load_run_config(args)
     ds, splits = _load_data(args, rc)
-    total, per_output = evaluate(_resolve_predictor(args, rc), ds, splits.test)
+    total, per_output = evaluate(_resolve_predictor(args, rc, ds.config), ds, splits.test)
 
     head = [
         f"test_rows {splits.test.size}",
@@ -292,17 +291,16 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     rc = _load_run_config(args)
-    dataset = args.dataset or rc.out_dir / DATASET_FILE  # its metadata hold the trained range
-    _, _, ranges = _read_metadata(_TextReader(dataset, DatasetFormatError))
-    predict = _resolve_predictor(args, rc)
+    _, oscillator, _, trained = _read_header(args.dataset or rc.out_dir / DATASET_FILE)
+    predict = _resolve_predictor(args, rc, oscillator)
 
-    result = hbar_sweep(predict, rc.sweep_spec, rc.oscillator)
+    result = hbar_sweep(predict, rc.sweep_spec, oscillator)
     save_sweep(result, rc.out_dir / SWEEP_FILE)
-    report = convergence_report(predict, rc.sweep_spec, result, ranges.hbar_log10)
+    report = convergence_report(predict, rc.sweep_spec, result, trained)
 
     print(f"wrote {rc.out_dir / SWEEP_FILE} ({result.hbar.size} rows)")
     print(
-        f"in trained range [{report.trained_hbar_min:g}, {report.trained_hbar_max:g}]: "
+        f"in trained range [{trained.hbar[0]:g}, {trained.hbar[1]:g}]: "
         f"{report.n_in_range} points, max rel err {report.max_rel_err:.6g}, "
         f"median rel err {report.median_rel_err:.6g}"
     )
@@ -313,7 +311,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_phasespace(args) -> int:
     rc = _load_run_config(args)
-    predict = _resolve_predictor(args, rc)
+    predict = _resolve_predictor(args, rc, rc.oscillator)
     results = phase_space_grids(predict, rc.phasespace_spec)
 
     failures = 0
@@ -339,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     defaults = default_config()
     inputs = {  # the flags that name input files or pick the predictor, not settings
-        "--dataset": {"help": "dataset CSV path (sweep: for its trained hbar range)"},
+        "--dataset": {"help": "dataset CSV path; its # lines give the physics (oscillator) "
+                              "for --oracle and sweep, and sweep's trained hbar range"},
         "--splits": {"help": "split CSV path"},
         "--model": {"help": "model file path"},
         "--oracle": {"action": "store_true", "help": "use the closed form instead of a model"},

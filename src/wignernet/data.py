@@ -21,7 +21,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .oscillator import DOMAIN, OscillatorConfig, check_domain, evolve_batch
+from .oscillator import OscillatorConfig, _outside, check_domain, evolve_batch
 
 CSV_HEADER = "x0,p0,sigma_x0,hbar,xt,pt,sigma_xt,sigma_pt"
 SPLIT_HEADER = "index,split"
@@ -168,6 +168,11 @@ class SamplingRanges:
             if not lo <= hi:
                 raise ValueError(f"{key} must satisfy min <= max, got ({lo}, {hi})")
 
+    @property
+    def hbar(self) -> tuple[float, float]:
+        """hbar's interval: numpy's power of 10 at hbar_log10's ends, as sample_inputs draws."""
+        return tuple(np.power(10.0, self.hbar_log10).tolist())
+
 
 @dataclass
 class Dataset:
@@ -209,27 +214,18 @@ def sample_inputs(ranges: SamplingRanges, n: int, seed: int) -> np.ndarray:
     x0 = rng.uniform(*ranges.x0, size=n)
     p0 = rng.uniform(*ranges.p0, size=n)
     sigma_x0 = rng.uniform(*ranges.sigma_x0, size=n)
-    hbar = 10.0 ** rng.uniform(*ranges.hbar_log10, size=n)
+    hbar = np.power(10.0, rng.uniform(*ranges.hbar_log10, size=n))
     return np.column_stack([x0, p0, sigma_x0, hbar])
 
 
 def build_dataset(
-    cfg: OscillatorConfig,
-    inputs: np.ndarray,
-    *,
-    ranges: SamplingRanges | None = None,
-    seed: int = 0,
+    cfg: OscillatorConfig, inputs: np.ndarray, *, ranges: SamplingRanges | None = None, seed: int = 0
 ) -> Dataset:
     """Label every input row with its closed-form evolution."""
     targets, clamped = evolve_batch(cfg, inputs)
-    return Dataset(
-        inputs=np.asarray(inputs, dtype=np.float64),
-        targets=targets,
-        config=cfg,
-        seed=seed,
-        ranges=ranges if ranges is not None else SamplingRanges(),
-        clamped=clamped,
-    )
+    ranges = ranges if ranges is not None else SamplingRanges()
+    inputs = np.asarray(inputs, dtype=np.float64)
+    return Dataset(inputs, targets, config=cfg, seed=seed, ranges=ranges, clamped=clamped)
 
 
 def split_indices(n: int, seed: int) -> SplitIndices:
@@ -241,17 +237,16 @@ def split_indices(n: int, seed: int) -> SplitIndices:
     if n < _MIN_ROWS:
         raise ValueError(f"need at least {_MIN_ROWS} rows to split 80/10/10, got {n}")
     perm = np.random.default_rng(seed).permutation(n)
-    n_train = int(0.8 * n)
-    n_val = int(0.1 * n)
-    return SplitIndices(
-        train=np.sort(perm[:n_train]),
-        validation=np.sort(perm[n_train : n_train + n_val]),
-        test=np.sort(perm[n_train + n_val :]),
-    )
+    n_train, n_val = int(0.8 * n), int(0.1 * n)
+    return SplitIndices(*(np.sort(p) for p in np.split(perm, [n_train, n_train + n_val])))
 
 
 def save_dataset(ds: Dataset, path: str | os.PathLike) -> None:
-    """Write the dataset CSV: a `#`-prefixed metadata block, header, then rows."""
+    """Write the dataset CSV: a `#`-prefixed metadata block, header, then rows.  An input
+    cell outside ds.ranges, which load_dataset would reject, raises ValueError naming its row."""
+    outside = _first_outside(ds.inputs, ds.ranges)
+    if outside:
+        raise ValueError("row {}: {}".format(*outside))
     head = [
         *((f"# {key}", [getattr(ds.config, key)]) for key in _CONFIG_KEYS),
         f"# seed {ds.seed}",
@@ -264,30 +259,34 @@ def save_dataset(ds: Dataset, path: str | os.PathLike) -> None:
 def load_dataset(path: str | os.PathLike) -> Dataset:
     """Parse a dataset CSV written by save_dataset.
 
-    Malformed content, including an input cell outside oscillator.DOMAIN
-    (which holds only rows the oracle accepts) or the absence of data rows,
-    is reported with its 1-based line number.
+    Malformed content, including an input cell outside the file's own `# *_range`
+    lines (hbar's is SamplingRanges.hbar; the ranges lie in oscillator.DOMAIN, which
+    holds only rows the oracle accepts), is reported with its 1-based line number.
     """
-    reader = _TextReader(path, DatasetFormatError)
-    if len(reader.lines) <= len(_CONFIG_KEYS) + len(_RANGE_LABELS) + 2:  # + seed and CSV_HEADER
-        reader.fail("no data rows", len(reader.lines) + 1)
-    cfg, seed, ranges = _read_metadata(reader)
-    reader.line(CSV_HEADER)
+    reader, cfg, seed, ranges = _read_header(path)
     first = reader.pos + 1
     data = reader.rows(8)
     inputs = data[:, :4]
-    names = CSV_HEADER.split(",")[:4]  # x0, p0, sigma_x0, hbar
-    lo, hi = np.array([DOMAIN[name] for name in names]).T
-    for row, column in np.argwhere((inputs < lo) | (inputs > hi))[:1]:  # row-major: earliest line
-        try:
-            check_domain((names[column], names[column], inputs[row, column]))
-        except ValueError as exc:
-            reader.fail(str(exc), first + int(row))
+    outside = _first_outside(inputs, ranges)
+    if outside:
+        reader.fail(outside[1], first + outside[0])
     return Dataset(inputs=inputs, targets=data[:, 4:], config=cfg, seed=seed, ranges=ranges)
 
 
-def _read_metadata(reader: _TextReader) -> tuple[OscillatorConfig, int, SamplingRanges]:
-    """The oscillator settings, seed and sampling ranges on a dataset's `#` lines."""
+def _first_outside(inputs: np.ndarray, ranges: SamplingRanges) -> tuple[int, str] | None:
+    """(row, message) of the earliest input cell outside `ranges`, hbar's being ranges.hbar."""
+    lo, hi = np.array([ranges.x0, ranges.p0, ranges.sigma_x0, ranges.hbar]).T
+    for row, col in np.argwhere(~((lo <= inputs) & (inputs <= hi)))[:1]:  # row-major: earliest
+        return int(row), _outside(CSV_HEADER.split(",")[col], inputs[row, col], lo[col], hi[col])
+    return None
+
+
+def _read_header(path: str | os.PathLike):
+    """(reader at the first data row, oscillator, seed, ranges) of dataset `path`: its `#`
+    lines, the one source of what its rows mean, the physics and the bounds of its rows."""
+    reader = _TextReader(path, DatasetFormatError)
+    if len(reader.lines) <= len(_CONFIG_KEYS) + len(_RANGE_LABELS) + 2:  # + seed and CSV_HEADER
+        reader.fail("no data rows", len(reader.lines) + 1)
     osc, ranges = {}, {}
     for k in _CONFIG_KEYS:
         with reader.group():  # each line is checked as read, the fields after it at their defaults
@@ -298,15 +297,14 @@ def _read_metadata(reader: _TextReader) -> tuple[OscillatorConfig, int, Sampling
         with reader.group():
             ranges[k] = tuple(reader.values(label, 2).tolist())
             sampled = SamplingRanges(**ranges)
-    return cfg, seed, sampled
+    reader.line(CSV_HEADER)
+    return reader, cfg, seed, sampled
 
 
 def save_splits(splits: SplitIndices, path: str | os.PathLike) -> None:
     """Write the split CSV (`index,split`), one row per dataset row, by index."""
-    labels = {}
-    for name, idx in zip(_SPLIT_LABELS, (splits.train, splits.validation, splits.test)):
-        for i in idx:
-            labels[int(i)] = name
+    parts = zip(_SPLIT_LABELS, (splits.train, splits.validation, splits.test))
+    labels = {int(i): name for name, idx in parts for i in idx}
     _write_text(path, [SPLIT_HEADER, *(f"{i},{labels[i]}" for i in sorted(labels))])
 
 
@@ -320,10 +318,9 @@ def load_splits(path: str | os.PathLike) -> SplitIndices:
     reader.line(SPLIT_HEADER)
     index, label = reader.rows(2, object).T  # the cells' text
     members = [label == name for name in _SPLIT_LABELS]
-    bad = (index != [str(k) for k in range(index.size)]) | ~np.any(members, axis=0)
+    bad = (index != np.arange(index.size).astype(str)) | ~np.any(members, axis=0)
     if bad.any():
         k = int(np.argmax(bad))
         got = reader.lines[k + 1]
         reader.fail(f"expected index {k} and a split in {_SPLIT_LABELS}, got {got!r}", k + 2)
-    train, val, test = (np.flatnonzero(m) for m in members)
-    return SplitIndices(train=train, validation=val, test=test)
+    return SplitIndices(*(np.flatnonzero(m) for m in members))

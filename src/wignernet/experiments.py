@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import _write_text
+from .data import SamplingRanges, _write_text
 from .oscillator import (
     GaussianWigner, OscillatorConfig, check_domain, evolve_batch, wigner_grid, wigner_value
 )
@@ -142,8 +142,6 @@ class ConvergenceReport:
     n_in_range: int
     n_degenerate: int
     extrapolation_decreasing: bool
-    trained_hbar_min: float
-    trained_hbar_max: float
 
 
 def oracle_predictor(cfg: OscillatorConfig) -> Predictor:
@@ -214,10 +212,10 @@ def convergence_report(
     predict: Predictor,
     spec: SweepSpec,
     sweep: SweepResult,
-    trained_hbar_log10_range: tuple[float, float],
+    trained: SamplingRanges,
 ) -> ConvergenceReport:
     """Summary metrics of `sweep`, the result of hbar_sweep(predict, spec, cfg),
-    against the trained hbar range.
+    against the trained hbar range, trained.hbar.
 
     In-range rows (trained range is inclusive) contribute max/median relative
     error; degenerate rows are excluded.  The extrapolation flag probes ten
@@ -226,8 +224,7 @@ def convergence_report(
     strictly below the prediction at the trained minimum, i.e. whether the
     emulated packet keeps localizing beyond the data it was fitted on.
     """
-    lo, hi = trained_hbar_log10_range
-    hbar_min, hbar_max = np.power(10.0, [lo, hi]).tolist()  # numpy's power, as np.logspace's
+    hbar_min, hbar_max = trained.hbar  # numpy's power, as np.logspace's
     in_range = (sweep.hbar >= hbar_min) & (sweep.hbar <= hbar_max) & np.isfinite(sweep.rel_err)
     if np.any(in_range):
         max_rel = float(np.max(sweep.rel_err[in_range]))
@@ -236,6 +233,7 @@ def convergence_report(
         max_rel = float("nan")
         median_rel = float("nan")
 
+    lo = trained.hbar_log10[0]
     probes = np.logspace(lo - 2.0, lo, 10)
     probe_preds = np.asarray(predict(spec._state_rows(probes)), dtype=np.float64)[:, 2]
     decreasing = bool(probe_preds[0] < probe_preds[-1])
@@ -246,8 +244,6 @@ def convergence_report(
         n_in_range=int(np.sum(in_range)),
         n_degenerate=sweep.n_degenerate,
         extrapolation_decreasing=decreasing,
-        trained_hbar_min=hbar_min,
-        trained_hbar_max=hbar_max,
     )
 
 

@@ -73,7 +73,13 @@ def check_domain(*entries: tuple[str, str, float]) -> None:
     for key, quantity, value in entries:
         lo, hi = DOMAIN[quantity]
         if not lo <= value <= hi:
-            raise ValueError(f"{key} {value} is outside [{lo:g}, {hi:g}]")
+            raise ValueError(_outside(key, value, lo, hi))
+
+
+def _outside(key: str, value: float, lo: float, hi: float) -> str:
+    """`{key} {value} is outside [{lo}, {hi}]`, each bound with :g where that reads back as it."""
+    lo, hi = (f"{b:g}" if float(f"{b:g}") == b else repr(float(b)) for b in (lo, hi))
+    return f"{key} {value} is outside [{lo}, {hi}]"
 
 
 @dataclass

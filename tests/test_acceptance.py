@@ -3,16 +3,22 @@
 Criteria 4-7 share a module-scoped fixture that runs the CLI pipeline once
 with the stock configuration (10,000 samples, the 4-128-256-256-128-4
 batchnorm network, lr 0.0005, batch 64, patience 20, up to 1000 epochs), so
-this module takes a few minutes of training time.  Run it with
+this module takes a few minutes of training time.  The same run is checked
+byte for byte against stock_outputs.json (TestStockOutputs).  Run it with
 
     pytest tests/test_acceptance.py -v -s
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
 import math
 import time
+import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -45,24 +51,34 @@ def check(criterion: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
-    """Full stock-configuration CLI run: generate, train, eval, sweep, phasespace."""
+    """Full stock-configuration CLI run: generate, train, eval, sweep, phasespace, then
+    eval, sweep and phasespace --oracle into oracle/, keeping each command's stdout."""
     base = tmp_path_factory.mktemp("acceptance")
     run_dir = base / "run"
     cfg_path = base / "config.json"
     cfg_path.write_text(json.dumps({"out_dir": str(run_dir)}))
+    stdout = {}
+
+    def cli(name, *argv):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main([*argv, "--config", str(cfg_path)]) == 0
+        stdout[name] = out.getvalue().replace(str(base), "<base>")
+
     start = time.time()
-    assert main(["generate", "--config", str(cfg_path)]) == 0
-    assert main(["train", "--config", str(cfg_path)]) == 0
+    cli("generate", "generate")
+    cli("train", "train")
     train_minutes = (time.time() - start) / 60.0
-    assert main(["eval", "--config", str(cfg_path)]) == 0
-    assert main(["sweep", "--config", str(cfg_path)]) == 0
-    assert main(["phasespace", "--config", str(cfg_path)]) == 0
+    for command in ("eval", "sweep", "phasespace"):
+        cli(command, command)
+    data = ["--dataset", str(run_dir / "dataset.csv"), "--splits", str(run_dir / "splits.csv")]
+    for command, inputs in (("eval", data), ("sweep", data[:2]), ("phasespace", [])):
+        cli(f"{command} --oracle", command, "--oracle", *inputs, "--out-dir", str(base / "oracle"))
     summary = {}
     for line in (run_dir / "summary.txt").read_text().splitlines():
         key, *values = line.split()
         summary[key] = [float(v) for v in values]
     return SimpleNamespace(
-        dir=run_dir, config=cfg_path, minutes=train_minutes, summary=summary
+        dir=run_dir, config=cfg_path, minutes=train_minutes, summary=summary, stdout=stdout
     )
 
 
@@ -267,3 +283,67 @@ class TestCriterion7:
             f"reduced pipeline byte-identical over {len(names)} files: {pipeline_identical}; "
             f"dataset round-trip: {dataset_roundtrip}; model round-trip: {model_roundtrip}",
         )
+
+
+STOCK_OUTPUTS = Path(__file__).with_name("stock_outputs.json")
+
+
+def environment() -> dict:
+    """What the stock outputs' bits may depend on: the numpy version, its BLAS build,
+    and the SIMD extensions numpy found on this CPU."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        **{f"blas {key}": blas.get(key) for key in ("name", "version", "openblas configuration")},
+        **{f"simd {key}": found for key, found in config["SIMD Extensions"].items()},
+    }
+
+
+def differences(recorded: dict, found: dict) -> list[str]:
+    """Each key whose value differs between the two, with both values."""
+    return [
+        f"{key}: recorded {recorded.get(key)!r}, found {found.get(key)!r}"
+        for key in sorted(recorded.keys() | found.keys())
+        if recorded.get(key) != found.get(key)
+    ]
+
+
+class TestStockOutputs:
+    def test_stock_run_keeps_the_recorded_bytes(self, pipeline):
+        """The stock run writes the sha256s, epochs and stdout in stock_outputs.json.
+        A PR that changes bits on purpose edits that file.  Where this box's environment
+        differs from the recorded one, a warning names each differing field, and a
+        differing output is reported as XFAIL with the outputs and fields."""
+        manifest = json.loads(STOCK_OUTPUTS.read_text(encoding="utf-8"))
+        base = pipeline.dir.parent
+        outputs = {
+            path.relative_to(base).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted((base / "run").iterdir()) + sorted((base / "oracle").iterdir())
+        }
+        for key in ("stopped_epoch", "best_epoch"):
+            outputs[key] = int(pipeline.summary[key][0])
+        changed = differences(manifest["outputs"], outputs)
+        changed += differences(manifest["stdout"], pipeline.stdout)
+        env = differences(manifest["environment"], environment())
+        if env:
+            with warnings.catch_warnings():  # listed in pytest's warnings summary, not raised
+                warnings.simplefilter("always")
+                warnings.warn(f"environment differs from {STOCK_OUTPUTS.name}: " + "; ".join(env))
+            if changed:
+                pytest.xfail(f"{'; '.join(changed)} (environment differs: {'; '.join(env)})")
+        check(
+            "manifest",
+            not changed,
+            f"{len(outputs)} outputs and {len(pipeline.stdout)} stdouts against "
+            f"{STOCK_OUTPUTS.name}; differ: {'; '.join(changed) or 'none'}",
+        )
+
+    def test_differences_name_each_output_and_field(self):
+        recorded = {"run/a.csv": "1", "run/b.csv": "2", "best_epoch": 37}
+        found = {"run/a.csv": "1", "run/b.csv": "3", "best_epoch": 38, "run/c.csv": "4"}
+        assert differences(recorded, found) == [
+            "best_epoch: recorded 37, found 38",
+            "run/b.csv: recorded '2', found '3'",
+            "run/c.csv: recorded None, found '4'",
+        ]

@@ -12,8 +12,9 @@ import pytest
 
 from wignernet.cli import _FLAGS, build_parser, default_config, main
 from wignernet.data import load_dataset, load_splits
+from wignernet.experiments import SweepSpec
 from wignernet.network import ArchitectureSpec, init_model, save_model
-from wignernet.oscillator import DOMAIN
+from wignernet.oscillator import DOMAIN, OscillatorConfig, evolve_batch
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -503,9 +504,10 @@ class TestDatasetMetadata:
     def test_row_outside_the_domain_fails_naming_its_line_column_and_bound(
         self, tmp_path, capsys, edits
     ):
-        """A data row's inputs are checked against the domain before the oracle
-        labels them, so an overflowing cell fails without a warning.  Of several
-        such cells, the one on the earliest line is named, whatever its column."""
+        """A data row's inputs are checked against the file's own sampling ranges,
+        which lie in the domain, before the oracle labels them, so an overflowing cell
+        fails without a warning.  Of several such cells, the one on the earliest line
+        is named, whatever its column."""
         cfg = small_config(tmp_path)
         assert run("generate", "--config", cfg) == 0
         path = tmp_path / "run" / "dataset.csv"
@@ -522,9 +524,38 @@ class TestDatasetMetadata:
         assert caught == []
         column, value = edits[10]
         name = ("x0", "p0", "sigma_x0", "hbar")[column]
-        lo, hi = DOMAIN[name]
-        message = f"line 10: {name} {float(value)} is outside [{lo:g}, {hi:g}]"
+        bound = {"x0": "[-5, 5]", "p0": "[-5, 5]", "sigma_x0": "[0.5, 2]", "hbar": "[1e-06, 1]"}
+        message = f"line 10: {name} {float(value)} is outside {bound[name]}"
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+class TestDatasetPhysics:
+    """eval and sweep take the oscillator from the dataset's `#` lines, whatever the
+    config's oscillator section says: here a t = 3 dataset read under the default t = 5."""
+
+    @pytest.fixture
+    def t3_dir(self, tmp_path):
+        cfg = tmp_path / "t3.json"
+        cfg.write_text(json.dumps({"oscillator": {"t": 3.0}, "out_dir": str(tmp_path / "t3")}))
+        assert run("generate", "--config", cfg, "--n", 200) == 0
+        return tmp_path / "t3"
+
+    def test_oracle_eval_scores_zero_under_the_default_config(self, t3_dir, capsys):
+        capsys.readouterr()
+        assert run("eval", "--oracle", "--out-dir", t3_dir) == 0
+        assert capsys.readouterr().out.startswith("test MSE 0 over 20 rows\n")
+        assert (t3_dir / "eval.txt").read_text().splitlines()[1] == "test_mse 0"
+
+    def test_sweep_reference_is_the_datasets_closed_form(self, t3_dir, capsys):
+        capsys.readouterr()
+        assert run("sweep", "--oracle", "--out-dir", t3_dir) == 0
+        assert "max rel err 0, median rel err 0" in capsys.readouterr().out
+        lines = (t3_dir / "sweep.csv").read_text().splitlines()
+        columns = np.array([[float(v) for v in line.split(",")] for line in lines[1:]]).T
+        spec = SweepSpec()
+        exact, _ = evolve_batch(OscillatorConfig(t=3.0), spec._state_rows(spec.hbar_values))
+        assert np.array_equal(columns[2], exact[:, 2])  # sigma_xt_analytical
+        assert np.array_equal(columns[1], exact[:, 2])  # sigma_xt_pred, by the oracle
 
 
 class TestSplitCoverage:

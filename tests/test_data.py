@@ -312,6 +312,73 @@ class TestDatasetRoundTrip:
             load_dataset(path)
         assert str(excinfo.value) == f"{path}: line 10: no data rows"
 
+    @staticmethod
+    def set_cell(path, lineno, column, value):
+        """Overwrite one cell of a saved file with `value`, written as save_dataset writes."""
+        lines = path.read_text().splitlines()
+        cells = lines[lineno - 1].split(",")
+        cells[column] = f"{value:.17g}"
+        lines[lineno - 1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize(
+        "column, value, bound",
+        [(0, math.nextafter(5.0, math.inf), "[-5, 5]"),
+         (1, math.nextafter(-5.0, -math.inf), "[-5, 5]"),
+         (2, math.nextafter(0.5, 0.0), "[0.5, 2]"),
+         (3, math.nextafter(1.0, math.inf), "[1e-06, 1]")],
+        ids=["x0", "p0", "sigma_x0", "hbar"],
+    )
+    def test_row_just_outside_its_files_range_names_line_column_and_bound(
+        self, tmp_path, column, value, bound
+    ):
+        """A cell inside oscillator.DOMAIN but one ulp outside the file's own `# *_range`
+        line fails, naming the file's bound, not the domain's."""
+        path = tmp_path / "ds.csv"
+        save_dataset(self.make_dataset(n=5), path)
+        self.set_cell(path, 12, column, value)
+        with pytest.raises(DatasetFormatError) as excinfo:
+            load_dataset(path)
+        name = CSV_HEADER.split(",")[column]
+        assert str(excinfo.value) == f"{path}: line 12: {name} {value} is outside {bound}"
+
+    def test_hbar_exactly_at_numpys_power_of_each_range_end_loads(self, tmp_path):
+        """hbar's bounds are numpy's power of 10 at the `# hbar_log10_range` ends, as
+        sample_inputs draws hbar.  At -11.93 and -6.46 numpy's power differs from
+        Python's on some CPUs, so a bound computed another way would reject these cells.
+        One ulp beyond, the message prints each bound in full where :g would not read
+        back as it, so the value cannot look as if it lay inside the printed interval."""
+        ranges = SamplingRanges(hbar_log10=(-11.93, -6.46))
+        lo, hi = np.power(10.0, [-11.93, -6.46]).tolist()
+        assert ranges.hbar == (lo, hi)
+        inputs = sample_inputs(ranges, 4, seed=2)
+        inputs[:2, 3] = lo, hi
+        path = tmp_path / "ds.csv"
+        save_dataset(build_dataset(CFG, inputs, ranges=ranges), path)
+        assert np.array_equal(load_dataset(path).inputs, inputs)
+        below = math.nextafter(lo, 0.0)
+        self.set_cell(path, 10, 3, below)
+        with pytest.raises(DatasetFormatError) as excinfo:
+            load_dataset(path)
+        assert f"{lo:g}" != repr(lo) and f"{hi:g}" != repr(hi)
+        message = f"line 10: hbar {below} is outside [{lo!r}, {hi!r}]"
+        assert str(excinfo.value) == f"{path}: {message}"
+
+    def test_save_rejects_an_input_outside_its_ranges(self, tmp_path):
+        """save_dataset writes only what load_dataset reads back: a row built under the
+        default ranges with sigma_x0 3 (inside oscillator.DOMAIN, outside [0.5, 2]) is
+        refused, naming its row, and nothing is written; under ranges that hold it, the
+        file round-trips."""
+        inputs = np.array([[1.0, 0.0, 1.0, 1.0], [1.0, 0.0, 3.0, 1.0]])
+        path = tmp_path / "ds.csv"
+        with pytest.raises(ValueError) as excinfo:
+            save_dataset(build_dataset(CFG, inputs), path)
+        assert str(excinfo.value) == "row 1: sigma_x0 3.0 is outside [0.5, 2]"
+        assert not path.exists()
+        ds = build_dataset(CFG, inputs, ranges=SamplingRanges(sigma_x0=(0.5, 3.0)))
+        save_dataset(ds, path)
+        assert np.array_equal(load_dataset(path).inputs, inputs)
+
     def test_wrong_header_rejected(self, tmp_path):
         ds = self.make_dataset()
         path = tmp_path / "ds.csv"
@@ -353,6 +420,24 @@ class TestSplitRoundTrip:
             load_splits(path)
         message = f"line 3: expected 2 comma-separated values, got {count}"
         assert str(excinfo.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "rows, lineno",
+        [(["0,train", "01,val", "2,test"], 3), (["0,train", "+1,val"], 3),
+         (["0,train", " 1,val"], 3), (["0,train", "1,bogus", "3,test"], 3),
+         (["0,train", "1,val", "3,test", "3,bogus"], 4)],
+        ids=["leading-zero", "sign", "space", "label-first", "index-first"],
+    )
+    def test_first_bad_index_or_label_is_named_with_its_text(self, tmp_path, rows, lineno):
+        """An index must be the text of its row number, and the earliest bad row is
+        named, whichever of its index or its label is at fault."""
+        path = tmp_path / "splits.csv"
+        path.write_text("\n".join(["index,split", *rows]) + "\n")
+        with pytest.raises(DatasetFormatError) as excinfo:
+            load_splits(path)
+        k = lineno - 2
+        message = f"expected index {k} and a split in ('train', 'val', 'test'), got {rows[k]!r}"
+        assert str(excinfo.value) == f"{path}: line {lineno}: {message}"
 
     @pytest.mark.parametrize("row", ["0,test", "999,train"])  # repeated, out of range
     def test_index_out_of_sequence_names_line(self, tmp_path, row):

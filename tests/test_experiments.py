@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from wignernet.data import SamplingRanges
 from wignernet.experiments import (
     PhaseSpaceSpec,
     SweepSpec,
@@ -155,7 +156,8 @@ def sweep_report(predict, trained_hbar_log10_range):
     """convergence_report over the stock sweep, as `wignernet sweep` computes it."""
     spec = SweepSpec()
     sweep = hbar_sweep(predict, spec, STOCK)
-    return convergence_report(predict, spec, sweep, trained_hbar_log10_range)
+    trained = SamplingRanges(hbar_log10=trained_hbar_log10_range)
+    return convergence_report(predict, spec, sweep, trained)
 
 
 class TestConvergenceReport:
@@ -175,7 +177,6 @@ class TestConvergenceReport:
         """Only sweep points inside the trained range feed the error metrics."""
         report = sweep_report(ORACLE, trained_hbar_log10_range=(-3.0, 0.0))
         assert report.n_in_range == sum(SweepSpec().hbar_values >= 1e-3)
-        assert report.trained_hbar_min == pytest.approx(1e-3)
 
     def test_trained_bounds_are_the_sweeps_own_hbar_values(self):
         """A sweep over exactly the trained range lies wholly inside it: at every
@@ -183,7 +184,7 @@ class TestConvergenceReport:
         for lo in (np.arange(-120, 31) / 10).tolist():
             spec = SweepSpec(hbar_log10_min=lo, hbar_log10_max=lo, n_points=1)
             sweep = hbar_sweep(ORACLE, spec, STOCK)
-            report = convergence_report(ORACLE, spec, sweep, (lo, lo))
+            report = convergence_report(ORACLE, spec, sweep, SamplingRanges(hbar_log10=(lo, lo)))
             assert report.n_in_range == 1, lo
 
     def test_degenerate_rows_excluded(self):
