@@ -57,7 +57,7 @@ from .training import TrainConfig, evaluate, save_report, train
 
 DATASET_FILE = "dataset.csv"
 SPLITS_FILE = "splits.csv"
-MODEL_FILE = "model.txt"
+MODEL_FILE = "model.bin"
 HISTORY_FILE = "history.csv"
 SUMMARY_FILE = "summary.txt"
 EVAL_FILE = "eval.txt"
@@ -291,7 +291,7 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     rc = _load_run_config(args)
-    _, oscillator, _, trained = _read_header(args.dataset or rc.out_dir / DATASET_FILE)
+    _, oscillator, _, trained = _read_header(args.dataset or rc.out_dir / DATASET_FILE, head_only=True)
     predict = _resolve_predictor(args, rc, oscillator)
 
     result = hbar_sweep(predict, rc.sweep_spec, oscillator)

@@ -32,6 +32,7 @@ _MIN_ROWS = 10  # the fewest rows that split 80/10/10 with no split empty
 # fields, the seed, then each SamplingRanges field under its line's label.
 _CONFIG_KEYS = ("m", "omega", "t")
 _RANGE_LABELS = {k: f"# {k}_range" for k in ("x0", "p0", "sigma_x0", "hbar_log10")}
+_HEAD_LINES = len(_CONFIG_KEYS) + 1 + len(_RANGE_LABELS) + 1  # + seed and CSV_HEADER
 
 
 class DatasetFormatError(ValueError):
@@ -63,20 +64,22 @@ def _write_text(path: str | os.PathLike, head, rows=()) -> None:
             fh.write(",".join(["%.17g"] * len(row)) % row + "\n")
 
 
+def _read_lines(path: str | os.PathLike, limit: int | None = None) -> list[str]:
+    """The lines of text file `path`, or with a limit only those of its first `limit`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return (fh.read() if limit is None else "".join(fh.readline() for _ in range(limit))).splitlines()
+
+
 class _TextReader:
-    """Reads a file written by _write_text back, line by line in the written order.
+    """Reads the lines of a file written by _write_text back, in the written order.
 
     Head lines are `label v1 v2 ...`; floats must be finite and integers
     whole.  Every failure raises the reader's error class with the path and
     the 1-based line.
     """
 
-    def __init__(self, path: str | os.PathLike, error: type[ValueError]):
-        with open(path, "r", encoding="utf-8") as fh:
-            self.lines = fh.read().splitlines()
-        self.path = path
-        self.error = error
-        self.pos = 0  # lines read so far
+    def __init__(self, path: str | os.PathLike, error: type[ValueError], lines: list[str]):
+        self.path, self.error, self.lines, self.pos = path, error, lines, 0  # pos: lines read
 
     def fail(self, message: str, lineno: int | None = None) -> NoReturn:
         """Raise for line `lineno`, by default the last line read."""
@@ -141,11 +144,6 @@ class _TextReader:
             raise
         except ValueError as exc:
             self.fail(str(exc), first)
-
-    def done(self) -> None:
-        """Fail unless every line has been read."""
-        if self.pos < len(self.lines):
-            self.fail(f"unexpected line {self.lines[self.pos][:40]!r}", self.pos + 1)
 
     def _finite(self, data: np.ndarray, first: int) -> None:
         """Fail unless float rows `data`, from line `first` on, are finite, naming the earliest."""
@@ -281,11 +279,12 @@ def _first_outside(inputs: np.ndarray, ranges: SamplingRanges) -> tuple[int, str
     return None
 
 
-def _read_header(path: str | os.PathLike):
-    """(reader at the first data row, oscillator, seed, ranges) of dataset `path`: its `#`
-    lines, the one source of what its rows mean, the physics and the bounds of its rows."""
-    reader = _TextReader(path, DatasetFormatError)
-    if len(reader.lines) <= len(_CONFIG_KEYS) + len(_RANGE_LABELS) + 2:  # + seed and CSV_HEADER
+def _read_header(path: str | os.PathLike, head_only: bool = False):
+    """(reader at the first data row, oscillator, seed, ranges) of dataset `path` from its `#`
+    lines, the one source of its rows' physics and bounds; head_only reads them and one row."""
+    lines = _read_lines(path, _HEAD_LINES + 1 if head_only else None)
+    reader = _TextReader(path, DatasetFormatError, lines)
+    if len(reader.lines) <= _HEAD_LINES:
         reader.fail("no data rows", len(reader.lines) + 1)
     osc, ranges = {}, {}
     for k in _CONFIG_KEYS:
@@ -314,7 +313,7 @@ def load_splits(path: str | os.PathLike) -> SplitIndices:
     Rows must list the indices 0, 1, 2, ... in order, one each, so that no
     row can sit in two splits; any other index is reported with its line.
     """
-    reader = _TextReader(path, DatasetFormatError)
+    reader = _TextReader(path, DatasetFormatError, _read_lines(path))
     reader.line(SPLIT_HEADER)
     index, label = reader.rows(2, object).T  # the cells' text
     members = [label == name for name in _SPLIT_LABELS]

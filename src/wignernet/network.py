@@ -1,5 +1,5 @@
 """From-scratch feedforward network: dense layers, ReLU, batch normalization,
-exact backpropagation, Adam, and text serialization.
+exact backpropagation, Adam, and serialization.
 
 Every hidden block applies affine -> ReLU -> batch normalization (the paper's
 enhanced architecture), and the output layer is a plain affine map.  Batch
@@ -32,7 +32,6 @@ done, and it calls no layer method.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import queue
@@ -44,7 +43,7 @@ import numpy as np
 
 from .data import _TextReader, _write_text
 
-MODEL_FILE_MAGIC = "wignernet model v1"
+MODEL_FILE_MAGIC = "wignernet model v2"
 _BATCHNORM_LINE = "batchnorm 1"  # line 5 of a model file: every hidden block has one
 
 # Batch normalization's fixed hyperparameters (Ioffe & Szegedy, ICML 2015).
@@ -55,6 +54,11 @@ BN_EPSILON = 1e-3
 # activation is 2 MiB, the L2 cache of one core.  It is >= 1000, the largest batch
 # the stock CLI or validation forwards, so those stay one pass.
 INFER_TILE_ROWS = 1024
+
+
+# Per thread, by hidden widths: MlpModel.forward's tiles, views of two buffers of this
+# thread, kept between calls, shared by every model and grown to the largest tile.
+_scratch = threading.local()
 
 
 class ModelFormatError(ValueError):
@@ -83,8 +87,8 @@ class DenseLayer:
         self.weights = weights
         self.bias = bias
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        y = x @ self.weights.T
+    def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        y = np.matmul(x, self.weights.T, out=out)
         y += self.bias
         return y
 
@@ -117,11 +121,11 @@ class BatchNormLayer:
         y += self.beta
         return y, (xhat, inv_std)
 
-    def forward_infer(self, x: np.ndarray) -> np.ndarray:
-        """Normalize with the frozen running statistics into a new array; x is not changed."""
+    def forward_infer(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Normalize with the frozen running statistics into out (x itself, or by default new)."""
         inv_std = 1.0 / np.sqrt(self.running_var + self.epsilon)
         # gamma * (x - mean) * inv_std + beta, in that order, in one array.
-        y = x - self.running_mean
+        y = np.subtract(x, self.running_mean, out=out)
         y *= self.gamma
         y *= inv_std
         y += self.beta
@@ -200,7 +204,10 @@ class MlpModel:
         dims = (spec.input_dim, *spec.hidden_dims, spec.output_dim)
         n_stats = 2 * sum(spec.hidden_dims)  # as many as gamma and beta
         n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:])) + n_stats
-        self.state = np.zeros(n_params + n_stats)
+        # From a 64-byte line wherever the heap puts it: then no SIMD load of a weight
+        # row splits a cache line, which costs 10 % of a one-row forward.
+        raw = np.zeros(n_params + n_stats + 7)
+        self.state = raw[-raw.ctypes.data % 64 // 8 :][: n_params + n_stats]
         self.params = self.state[:n_params]
         self.grad = np.zeros(n_params)
         self._tensors = param, stat = [], []  # the views of params, then of the statistics
@@ -219,21 +226,28 @@ class MlpModel:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Inference pass: running statistics, no state change.  A batch of more
-        than INFER_TILE_ROWS rows is forwarded one tile of that many rows at a time."""
+        than INFER_TILE_ROWS rows is forwarded one tile of that many rows at a time.
+        Block i's activation goes to this thread's tiles[i]: only the output is new."""
         x = self._batch(x)
+        rows, widths = min(x.shape[0], INFER_TILE_ROWS), self.spec.hidden_dims
+        tiles = vars(_scratch).get(widths)
+        if not tiles or rows > len(tiles[0]):
+            buffers = np.empty((2, rows * max(widths, default=0)))
+            tiles = vars(_scratch)[widths] = [buffers[i % 2, : rows * width].reshape(rows, width)
+                                              for i, width in enumerate(widths)]
         if x.shape[0] <= INFER_TILE_ROWS:
-            return self._infer(x)
+            return self._infer(x, tiles)
         out = np.empty((x.shape[0], self.spec.output_dim))
         for start in range(0, x.shape[0], INFER_TILE_ROWS):
             tile = slice(start, start + INFER_TILE_ROWS)
-            out[tile] = self._infer(x[tile])
+            out[tile] = self._infer(x[tile], tiles)
         return out
 
-    def _infer(self, x: np.ndarray) -> np.ndarray:
-        """The inference pass over one tile; it writes no array but its own."""
-        for dense, bn in self.blocks:
-            x = dense.forward(x)
-            x = bn.forward_infer(np.maximum(x, 0.0, out=x))
+    def _infer(self, x: np.ndarray, tiles: list[np.ndarray]) -> np.ndarray:
+        """The inference pass over one tile, through `tiles`; only its output is a new array."""
+        for (dense, bn), tile in zip(self.blocks, tiles):
+            x = dense.forward(x, out=tile[: len(x)])
+            bn.forward_infer(np.maximum(x, 0.0, out=x), out=x)
         return self.output_layer.forward(x)
 
     def forward_train(self, x: np.ndarray):
@@ -442,42 +456,27 @@ def _worker_lane():
 
 
 def save_model(model: MlpModel, path) -> None:
-    """Self-describing text container; 17 significant digits round-trip floats."""
-    _write_text(path, _model_lines(model))
-
-
-def _model_lines(model: MlpModel):
-    """The model file's lines, as _write_text takes them and load_model walks them:
-    a string is a line the file holds exactly, a (label, array) pair a tensor
-    stored through its view, and a (label, [value]) pair a constant it states."""
-    spec = model.spec
-    yield MODEL_FILE_MAGIC
-    yield f"input_dim {spec.input_dim}"
-    yield "hidden_dims " + " ".join(str(d) for d in spec.hidden_dims)
-    yield f"output_dim {spec.output_dim}"
-    yield _BATCHNORM_LINE
-    yield f"init_seed {model.init_seed}"
-    layers = [(f"block {i}", dense, bn) for i, (dense, bn) in enumerate(model.blocks)]
-    for name, dense, bn in layers + [("output", model.output_layer, None)]:
-        yield f"{name} dense {dense.weights.shape[0]} {dense.weights.shape[1]}"
-        yield from (("w", row) for row in dense.weights)
-        yield ("b", dense.bias)
-        if bn is not None:
-            yield f"{name} batchnorm {bn.gamma.size}"
-            yield ("momentum", [bn.momentum])
-            yield ("epsilon", [bn.epsilon])
-            for vector in ("gamma", "beta", "running_mean", "running_var"):
-                yield (vector, getattr(bn, vector))
-    yield "end"
+    """Model format v2: nine text lines, the last `state <n>`, then the n values of
+    model.state as little-endian float64 bytes, bit for bit."""
+    spec, dims = model.spec, " ".join(str(d) for d in model.spec.hidden_dims)
+    _write_text(path, [MODEL_FILE_MAGIC, f"input_dim {spec.input_dim}", f"hidden_dims {dims}",
+                       f"output_dim {spec.output_dim}", _BATCHNORM_LINE, f"init_seed {model.init_seed}",
+                       ("momentum", [BN_MOMENTUM]), ("epsilon", [BN_EPSILON]), f"state {model.state.size}"])
+    with open(path, "ab") as fh:
+        fh.write(model.state.astype("<f8").tobytes())
 
 
 def load_model(path) -> MlpModel:
-    """Parse a file written by save_model; every parameter is restored bit-exactly.
+    """Read a file written by save_model; every value of state is restored bit-exactly.
 
-    After the header, the lines must be those save_model writes for its architecture,
-    momentum and epsilon equal in value; a line that differs raises ModelFormatError.
+    The text lines must be those save_model writes for their architecture, momentum
+    and epsilon equal in value, and exactly n finite values must follow `state <n>`;
+    anything else raises ModelFormatError naming the line.
     """
-    reader = _TextReader(path, ModelFormatError)
+    with open(path, "rb") as fh:  # the nine text lines, each up to its newline, then the state
+        head, payload = [fh.readline() for _ in range(9)], fh.read()
+    lines = [line.decode("utf-8", "replace").rstrip("\r\n") for line in head if line]
+    reader = _TextReader(path, ModelFormatError, lines)
     reader.line(MODEL_FILE_MAGIC)
     with reader.group():
         spec = ArchitectureSpec(
@@ -487,14 +486,14 @@ def load_model(path) -> MlpModel:
         )
     reader.line(_BATCHNORM_LINE)
     model = MlpModel(spec, init_seed=reader.value("init_seed", int))
-    for line in itertools.islice(_model_lines(model), reader.pos, None):  # past the header
-        if isinstance(line, str):
-            reader.line(line)
-            continue
-        label, values = line
-        if isinstance(values, np.ndarray):
-            values[...] = reader.values(label, values.size)
-        elif (value := reader.value(label)) != values[0]:
-            reader.fail(f"{label} must be {values[0]}, got {value}")
-    reader.done()
+    for label, constant in (("momentum", BN_MOMENTUM), ("epsilon", BN_EPSILON)):
+        if (value := reader.value(label)) != constant:
+            reader.fail(f"{label} must be {constant}, got {value}")
+    n = model.state.size
+    reader.line(f"state {n}")
+    if len(payload) != 8 * n:
+        reader.fail(f"expected {8 * n} bytes of state after it, got {len(payload)}")
+    model.state[...] = np.frombuffer(payload, "<f8")
+    if not np.isfinite(model.state).all():
+        reader.fail(f"non-finite value at state[{int(np.argmin(np.isfinite(model.state)))}]")
     return model

@@ -214,7 +214,7 @@ class TestCriterion6:
         sweep = read_sweep(pipeline.dir / "sweep.csv")
         analytic_increasing = bool(np.all(np.diff(sweep[:, 2]) > 0))
 
-        model = load_model(pipeline.dir / "model.txt")
+        model = load_model(pipeline.dir / "model.bin")
         preds = model.forward(np.array([[1.0, 0.0, 1.0, 0.01], [1.0, 0.0, 1.0, 1.0]]))
         localizes = bool(preds[0, 2] < preds[1, 2])
 
@@ -270,10 +270,10 @@ class TestCriterion7:
         dataset_roundtrip = (tmp_path / "dataset_roundtrip.csv").read_bytes() == (
             pipeline.dir / "dataset.csv"
         ).read_bytes()
-        model = load_model(pipeline.dir / "model.txt")
-        save_model(model, tmp_path / "model_roundtrip.txt")
-        model_roundtrip = (tmp_path / "model_roundtrip.txt").read_bytes() == (
-            pipeline.dir / "model.txt"
+        model = load_model(pipeline.dir / "model.bin")
+        save_model(model, tmp_path / "model_roundtrip.bin")
+        model_roundtrip = (tmp_path / "model_roundtrip.bin").read_bytes() == (
+            pipeline.dir / "model.bin"
         ).read_bytes()
 
         check(

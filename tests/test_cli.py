@@ -180,7 +180,7 @@ FLAG_VALUES = {
     "--shuffle-seed": 9,
 }
 
-OUTPUTS = {"generate": ["dataset.csv", "splits.csv"], "train": ["model.txt", "history.csv"]}
+OUTPUTS = {"generate": ["dataset.csv", "splits.csv"], "train": ["model.bin", "history.csv"]}
 
 
 def nested(key, value):
@@ -416,16 +416,16 @@ class TestTrain:
         history = (tmp_path / "run" / "history.csv").read_text().splitlines()
         assert history[0] == "epoch,train_loss,val_loss"
         assert len(history) == 2  # exactly one epoch recorded
-        assert (tmp_path / "run" / "model.txt").exists()
+        assert (tmp_path / "run" / "model.bin").exists()
         assert "test loss" in capsys.readouterr().out
 
     def test_retraining_is_byte_identical(self, tmp_path):
         cfg = small_config(tmp_path)
         assert run("generate", "--config", cfg) == 0
         assert run("train", "--config", cfg) == 0
-        first = (tmp_path / "run" / "model.txt").read_bytes()
+        first = (tmp_path / "run" / "model.bin").read_bytes()
         assert run("train", "--config", cfg) == 0
-        assert (tmp_path / "run" / "model.txt").read_bytes() == first
+        assert (tmp_path / "run" / "model.bin").read_bytes() == first
 
     def test_missing_dataset_fails(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -438,7 +438,7 @@ class TestTrain:
         assert run("train", "--config", cfg) == 1
         err = capsys.readouterr().err
         assert err == "error: training split has 8 rows, below training.batch_size 16\n"
-        assert not (tmp_path / "run" / "model.txt").exists()
+        assert not (tmp_path / "run" / "model.bin").exists()
 
 
 class TestEval:
@@ -465,8 +465,8 @@ class TestEval:
         cfg = small_config(tmp_path)
         assert run("generate", "--config", cfg) == 0
         bad = init_model(ArchitectureSpec(input_dim=3, hidden_dims=(8,), output_dim=4), 0)
-        save_model(bad, tmp_path / "bad_model.txt")
-        assert run("eval", "--config", cfg, "--model", tmp_path / "bad_model.txt") != 0
+        save_model(bad, tmp_path / "bad_model.bin")
+        assert run("eval", "--config", cfg, "--model", tmp_path / "bad_model.bin") != 0
         assert "shape (B, 3)" in capsys.readouterr().err
 
 
@@ -648,8 +648,8 @@ class TestPhaseSpace:
     @pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "model"])
     def test_hbar_beyond_the_closed_form_fails_naming_its_key(self, tmp_path, capsys, oracle):
         cfg = small_config(tmp_path, phasespace={"hbar_values": [1.0, 1e300]})
-        save_model(init_model(ArchitectureSpec(), 0), tmp_path / "model.txt")
-        source = ["--oracle"] if oracle else ["--model", tmp_path / "model.txt"]
+        save_model(init_model(ArchitectureSpec(), 0), tmp_path / "model.bin")
+        source = ["--oracle"] if oracle else ["--model", tmp_path / "model.bin"]
         assert run("phasespace", "--config", cfg, *source) == 1
         err = capsys.readouterr().err
         assert err == "error: phasespace.hbar_values 1e+300 is outside [1e-12, 1000]\n"
@@ -665,8 +665,8 @@ class TestPhaseSpace:
             dense.weights[...] = 0.0
         model.output_layer.weights[...] = 0.0
         model.output_layer.bias[...] = [0.0, 0.0, -1.0, -1.0]
-        save_model(model, tmp_path / "degenerate.txt")
-        assert run("phasespace", "--config", cfg, "--model", tmp_path / "degenerate.txt") != 0
+        save_model(model, tmp_path / "degenerate.bin")
+        assert run("phasespace", "--config", cfg, "--model", tmp_path / "degenerate.bin") != 0
         assert "degenerate" in capsys.readouterr().err
 
 

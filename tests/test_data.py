@@ -13,6 +13,7 @@ from wignernet.data import (
     Dataset,
     DatasetFormatError,
     SamplingRanges,
+    _read_header,
     _write_text,
     build_dataset,
     load_dataset,
@@ -22,7 +23,7 @@ from wignernet.data import (
     save_splits,
     split_indices,
 )
-from wignernet.network import ArchitectureSpec, _model_lines, init_model
+from wignernet.network import ArchitectureSpec, init_model
 from wignernet.oscillator import OscillatorConfig, evolve_batch
 
 CFG = OscillatorConfig()
@@ -312,6 +313,22 @@ class TestDatasetRoundTrip:
             load_dataset(path)
         assert str(excinfo.value) == f"{path}: line 10: no data rows"
 
+    def test_head_only_read_takes_the_head_and_one_row(self, tmp_path):
+        """sweep's read: the rows after the first are not read, and a file without
+        rows still fails on line 10."""
+        ds = self.make_dataset()
+        path = tmp_path / "ds.csv"
+        save_dataset(ds, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:10] + ["not a row"] * 3) + "\n")
+        reader, cfg, seed, ranges = _read_header(path, head_only=True)
+        assert reader.lines == lines[:10] and reader.pos == 9
+        assert (cfg, seed, ranges) == (ds.config, ds.seed, ds.ranges)
+        path.write_text("\n".join(lines[:9]) + "\n")
+        with pytest.raises(DatasetFormatError) as excinfo:
+            _read_header(path, head_only=True)
+        assert str(excinfo.value) == f"{path}: line 10: no data rows"
+
     @staticmethod
     def set_cell(path, lineno, column, value):
         """Overwrite one cell of a saved file with `value`, written as save_dataset writes."""
@@ -509,7 +526,8 @@ class TestWriteText:
         self.assert_same_bytes(tmp_path, [], lambda: BITS.reshape(-1, 20))
 
     def test_stock_architecture_model_lines(self, tmp_path):
+        """A line per row of each tensor of a stock model, 132k random doubles."""
         model = init_model(ArchitectureSpec(), 1)
         model.state[:] = np.random.default_rng(4).standard_normal(model.state.size)
-        lines = list(_model_lines(model))
+        lines = [("t", row) for tensor in model.state_arrays() for row in np.atleast_2d(tensor)]
         self.assert_same_bytes(tmp_path, lines)

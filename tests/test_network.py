@@ -3,9 +3,18 @@
 from __future__ import annotations
 
 import math
+import os
+import struct
+import sys
+import tempfile
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gradcheck import grad_check
 from wignernet.network import (
@@ -22,6 +31,9 @@ from wignernet.network import (
     mse_loss,
     save_model,
 )
+
+
+MAX = np.finfo(np.float64).max
 
 
 def small_spec(hidden=(8,)):
@@ -365,8 +377,8 @@ class TestFlatState:
         def build(spec):
             model = init_model(spec, seed=12)
             if source == "load_model":
-                save_model(model, tmp_path / "model.txt")
-                model = load_model(tmp_path / "model.txt")
+                save_model(model, tmp_path / "model.bin")
+                model = load_model(tmp_path / "model.bin")
             return model
 
         def tensors(layers):
@@ -459,6 +471,56 @@ class TestInferencePass:
             tile = slice(start, start + INFER_TILE_ROWS)
             assert np.array_equal(out[tile], model.forward(x[tile])), f"rows from {start}"
 
+    @pytest.mark.parametrize("batch", [INFER_TILE_ROWS, 2 * INFER_TILE_ROWS + 1])
+    def test_a_warm_forward_allocates_far_less_than_one_tile(self, stock_trained_model, batch):
+        """The hidden activations go through this thread's scratch buffers, so after
+        one call the heap sees only the result: no 1024 x 256 tile, whatever it last freed."""
+        x = np.random.default_rng(batch).normal(size=(batch, 4))
+        stock_trained_model.forward(x)
+        tracemalloc.start()
+        try:
+            stock_trained_model.forward(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < INFER_TILE_ROWS * 256 * 8 / 8
+
+    @pytest.mark.parametrize("batch", [64, 2 * INFER_TILE_ROWS + 1])
+    def test_a_result_is_not_overwritten_by_the_next_call(self, stock_trained_model, batch):
+        rng = np.random.default_rng(batch)
+        first = stock_trained_model.forward(rng.normal(size=(batch, 4)))
+        kept = first.copy()
+        stock_trained_model.forward(rng.normal(size=(batch, 4)))
+        assert np.array_equal(first, kept)
+
+    def test_threads_forwarding_at_once_match_the_serial_results(self, stock_trained_model):
+        """More threads than cores, switching often, each forwarding its own batch size
+        through its own scratch buffers: every output equals the serial one."""
+        model = stock_trained_model
+        sizes = (1, 64, 700, 1500, 2 * INFER_TILE_ROWS + 1, 300)
+        batches = [np.random.default_rng(seed).normal(size=(b, 4)) for seed, b in enumerate(sizes)]
+        serial = [model.forward(x) for x in batches]
+        start = threading.Barrier(len(batches))
+        found = [[] for _ in batches]
+
+        def forward_many(i):
+            start.wait()
+            found[i].extend(model.forward(batches[i]) for _ in range(10))
+
+        threads = [threading.Thread(target=forward_many, args=(i,)) for i in range(len(batches))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for expected, outputs in zip(serial, found):
+            assert len(outputs) == 10 and all(np.array_equal(y, expected) for y in outputs)
+
 
 class TestSerialization:
     def trained_ish_model(self, seed=0, spec=None):
@@ -472,7 +534,7 @@ class TestSerialization:
 
     def test_round_trip_preserves_inference(self, tmp_path):
         model = self.trained_ish_model()
-        path = tmp_path / "model.txt"
+        path = tmp_path / "model.bin"
         save_model(model, path)
         loaded = load_model(path)
         probe = np.random.default_rng(9).normal(size=(12, 4))
@@ -482,50 +544,76 @@ class TestSerialization:
 
     def test_save_load_save_is_byte_identical(self, tmp_path):
         model = self.trained_ish_model(seed=3)
-        p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
+        p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
         save_model(model, p1)
         save_model(load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     @pytest.mark.parametrize("spec", [small_spec(hidden=())], ids=["no-hidden-layer"])
     def test_save_load_save_is_byte_identical_for_every_layout(self, tmp_path, spec):
-        p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
+        p1, p2 = tmp_path / "a.bin", tmp_path / "b.bin"
         save_model(self.trained_ish_model(seed=3, spec=spec), p1)
         save_model(load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_file_is_the_text_header_then_the_state_as_little_endian_float64(self, tmp_path):
+        model = self.trained_ish_model()
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        header = (
+            "wignernet model v2\ninput_dim 4\nhidden_dims 8 6\noutput_dim 4\nbatchnorm 1\n"
+            "init_seed 0\nmomentum 0.98999999999999999\nepsilon 0.001\nstate 178\n"
+        ).encode()
+        assert path.read_bytes() == header + struct.pack("<178d", *model.state)
+        save_model(model, tmp_path / "again.bin")
+        assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(state=arrays(np.float64, 178, elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @example(state=np.array([-0.0, 5e-324, -2.2250738585072009e-308, MAX, -MAX] * 35 + [0.0] * 3))
+    def test_any_finite_state_round_trips_bit_for_bit(self, state):
+        model = MlpModel(small_spec(hidden=(8, 6)), init_seed=0)
+        model.state[...] = state
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.bin")
+            save_model(model, path)
+            loaded = load_model(path)
+        assert loaded.state.tobytes() == state.tobytes()  # -0.0 and 0.0 differ here
 
     def test_constant_line_is_compared_by_value(self, tmp_path):
         path = self.edited_file(tmp_path, "momentum 0.98999999999999999\n", "momentum 0.99\n")
         assert np.array_equal(load_model(path).state, self.trained_ish_model().state)
 
     def test_truncated_file_is_a_structured_error(self, tmp_path):
-        model = self.trained_ish_model()
-        path = tmp_path / "model.txt"
-        save_model(model, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[: len(lines) // 2]) + "\n")
-        with pytest.raises(ModelFormatError):
-            load_model(path)
-
-    def test_unknown_version_rejected(self, tmp_path):
-        model = self.trained_ish_model()
-        path = tmp_path / "model.txt"
-        save_model(model, path)
-        lines = path.read_text().splitlines()
-        lines[0] = "wignernet model v999"
-        path.write_text("\n".join(lines) + "\n")
+        path = tmp_path / "model.bin"
+        save_model(self.trained_ish_model(), path)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) - 8])
         with pytest.raises(ModelFormatError) as excinfo:
             load_model(path)
-        expected = "line 1: expected 'wignernet model v1', got 'wignernet model v999'"
+        expected = "line 9: expected 1424 bytes of state after it, got 1416"
+        assert str(excinfo.value) == f"{path}: {expected}"
+
+    def test_unknown_version_rejected(self, tmp_path):
+        """A v1 file, the text format before this one, fails on its first line."""
+        path = self.edited_file(tmp_path, "wignernet model v2\n", "wignernet model v1\n")
+        with pytest.raises(ModelFormatError) as excinfo:
+            load_model(path)
+        expected = "line 1: expected 'wignernet model v2', got 'wignernet model v1'"
         assert str(excinfo.value) == f"{path}: {expected}"
 
     def edited_file(self, tmp_path, old, new):
-        """A saved model file with the text `old` replaced by `new`."""
-        path = tmp_path / "model.txt"
+        """A saved model file with the text `old` replaced by `new`; with old None,
+        `new` is appended to the file."""
+        path = tmp_path / "model.bin"
         save_model(self.trained_ish_model(), path)
-        text = path.read_text()
-        assert old in text
-        path.write_text(text.replace(old, new, 1))
+        data = path.read_bytes()
+        if old is None:
+            data += new.encode()
+        else:
+            assert old.encode() in data
+            data = data.replace(old.encode(), new.encode(), 1)
+        path.write_bytes(data)
         return path
 
     @pytest.mark.parametrize(
@@ -534,12 +622,12 @@ class TestSerialization:
             ("input_dim 4\n", "input_dim 4.7\n", 2),
             ("hidden_dims 8 6\n", "hidden_dims 8 x\n", 3),
             ("init_seed 0\n", "init_seed 1.5\n", 6),
-            ("end\n", "end\nw 1 2 3 4\n", 46),
-            ("end\n", "end\n\n", 46),
+            (None, "w 1 2 3 4\n", 9),
+            (None, "\n", 9),
             ("input_dim 4\n", "input_dim 0\n", 2),
-            ("momentum 0.98999999999999999\n", "momentum 2\n", 18),
-            ("momentum 0.98999999999999999\n", "momentum 0.9\n", 18),
-            ("epsilon 0.001\n", "epsilon 0\n", 19),
+            ("momentum 0.98999999999999999\n", "momentum 2\n", 7),
+            ("momentum 0.98999999999999999\n", "momentum 0.9\n", 7),
+            ("epsilon 0.001\n", "epsilon 0\n", 8),
         ],
         ids=[
             "fractional-int",
@@ -568,45 +656,39 @@ class TestSerialization:
         expected = f"line 5: expected 'batchnorm 1', got 'batchnorm {value}'"
         assert str(excinfo.value) == f"{path}: {expected}"
 
-    @pytest.mark.parametrize(
-        "old, new, lineno",
-        [
-            ("block 0 dense 8 4\n", "block 0 dense 8 5\n", 7),
-            ("block 1 batchnorm 6\n", "block 1 batchnorm 7\n", 32),
-            ("output dense 4 6\n", "output dense 3 6\n", 39),
-        ],
-        ids=["block-dense", "block-batchnorm", "output-dense"],
-    )
-    def test_layer_shape_line_must_match_the_architecture(self, tmp_path, old, new, lineno):
-        path = self.edited_file(tmp_path, old, new)
+    @pytest.mark.parametrize("count", ["177", "179", "0178"])
+    def test_state_count_must_match_the_spec(self, tmp_path, count):
+        path = self.edited_file(tmp_path, "state 178\n", f"state {count}\n")
         with pytest.raises(ModelFormatError) as excinfo:
             load_model(path)
-        expected = f"line {lineno}: expected {old.strip()!r}, got {new.strip()!r}"
-        assert str(excinfo.value) == f"{path}: {expected}"
+        assert str(excinfo.value) == f"{path}: line 9: expected 'state 178', got 'state {count}'"
 
     @pytest.mark.parametrize(
-        "label, value, lineno",
-        [("w", "nan", 8), ("epsilon", "nan", 19), ("running_var", "inf", 23)],
+        "value, index", [(math.nan, 0), (math.inf, 177), (-math.inf, 91)], ids=["nan", "inf", "-inf"]
     )
-    def test_non_finite_value_names_line(self, tmp_path, label, value, lineno):
-        path = tmp_path / "model.txt"
+    def test_non_finite_state_value_names_its_index(self, tmp_path, value, index):
+        path = tmp_path / "model.bin"
         save_model(self.trained_ish_model(), path)
-        lines = path.read_text().splitlines()
-        assert lines[lineno - 1].startswith(label + " ")
-        lines[lineno - 1] = " ".join([label, value, *lines[lineno - 1].split()[2:]])
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ModelFormatError, match=f"line {lineno}: non-finite value"):
+        data = bytearray(path.read_bytes())
+        start = len(data) - 8 * (178 - index)
+        data[start : start + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ModelFormatError) as excinfo:
             load_model(path)
+        assert str(excinfo.value) == f"{path}: line 9: non-finite value at state[{index}]"
+
+    @pytest.mark.parametrize("label, value", [("momentum", "inf"), ("epsilon", "nan")])
+    def test_non_finite_header_value_names_its_line(self, tmp_path, label, value):
+        line = {"momentum": ("momentum 0.98999999999999999\n", 7), "epsilon": ("epsilon 0.001\n", 8)}
+        old, lineno = line[label]
+        path = self.edited_file(tmp_path, old, f"{label} {value}\n")
+        with pytest.raises(ModelFormatError) as excinfo:
+            load_model(path)
+        assert str(excinfo.value) == f"{path}: line {lineno}: non-finite value"
 
     def test_header_and_tensor_disagreement_rejected(self, tmp_path):
-        model = self.trained_ish_model()
-        path = tmp_path / "model.txt"
-        save_model(model, path)
-        lines = path.read_text().splitlines()
-        assert lines[2] == "hidden_dims 8 6"
-        lines[2] = "hidden_dims 16 6"  # stored matrices are still 8 wide
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ModelFormatError) as excinfo:
+        path = self.edited_file(tmp_path, "hidden_dims 8 6\n", "hidden_dims 16 6\n")
+        with pytest.raises(ModelFormatError) as excinfo:  # the stored state is still 8 wide
             load_model(path)
-        expected = "line 7: expected 'block 0 dense 16 4', got 'block 0 dense 8 4'"
+        expected = "line 9: expected 'state 298', got 'state 178'"
         assert str(excinfo.value) == f"{path}: {expected}"
