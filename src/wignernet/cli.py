@@ -20,7 +20,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import reduce
 from pathlib import Path
 
@@ -64,28 +64,27 @@ EVAL_FILE = "eval.txt"
 SWEEP_FILE = "sweep.csv"
 
 
-# The config schema: per JSON section, the dataclass that checks it and its
-# keys, each the name of one of that dataclass's fields.
+# The config schema: per JSON section, the RunConfig field that holds it and
+# the dataclass that checks it, whose init fields are the section's keys.
 _SCHEMA = {
-    "oscillator": (OscillatorConfig, ("m", "omega", "t")),
-    "sampling": (SamplingRanges, ("x0", "p0", "sigma_x0", "hbar_log10")),
-    "network": (ArchitectureSpec, ("hidden_dims",)),
-    "training": (
-        TrainConfig, ("max_epochs", "batch_size", "patience", "learning_rate", "shuffle_seed")
-    ),
-    "sweep": (SweepSpec, ("x0", "p0", "sigma_x0", "hbar_log10_min", "hbar_log10_max", "n_points")),
-    "phasespace": (
-        PhaseSpaceSpec,
-        ("x0", "p0", "sigma_x0", "hbar_values", "grid_min", "grid_max", "grid_points"),
-    ),
+    "oscillator": ("oscillator", OscillatorConfig),
+    "sampling": ("ranges", SamplingRanges),
+    "network": ("arch", ArchitectureSpec),
+    "training": ("train_config", TrainConfig),
+    "sweep": ("sweep_spec", SweepSpec),
+    "phasespace": ("phasespace_spec", PhaseSpaceSpec),
 }
+_DATA_WIDTHS = {"input_dim", "output_dim"}  # ArchitectureSpec's, set by the data, not the config
 
-# The keys no dataclass holds, with their defaults, and the least value of each
-# of them that is a count or a seed.
-_UNHELD = {"dataset.n_samples": 10000, "dataset.seed": 42, "dataset.split_seed": 7,
-           "network.init_seed": 1, "out_dir": "runs/default"}
-_LEAST = {"dataset.n_samples": _MIN_ROWS, "dataset.seed": 0, "dataset.split_seed": 0,
-          "network.init_seed": 0}
+# The keys no dataclass holds: per key, its RunConfig field, its default and
+# its least value (None for a key that is not a count or a seed).
+_UNHELD = {
+    "dataset.n_samples": ("n_samples", 10000, _MIN_ROWS),
+    "dataset.seed": ("data_seed", 42, 0),
+    "dataset.split_seed": ("split_seed", 7, 0),
+    "network.init_seed": ("init_seed", 1, 0),
+    "out_dir": ("out_dir", "runs/default", None),
+}
 
 # Each setting flag: the config key it overrides and the commands that take it.
 # Its value has the type of that key's default.
@@ -103,13 +102,18 @@ _FLAGS = {
 
 
 def default_config() -> dict:
-    """The full JSON config at its defaults: each dataclass's, then _UNHELD."""
-    cfg = {s: {k: _to_json(v) for k, v in vars(owner()).items() if k in keys}
-           for s, (owner, keys) in _SCHEMA.items()}
-    for key, value in _UNHELD.items():
+    """The full JSON config at its defaults: each dataclass's, then _UNHELD's."""
+    cfg = {s: {f.name: _to_json(f.default) for f in _settings(owner)}
+           for s, (_, owner) in _SCHEMA.items()}
+    for key, (_, default, _) in _UNHELD.items():
         *sections, name = key.split(".")
-        reduce(lambda node, section: node.setdefault(section, {}), sections, cfg)[name] = value
+        reduce(lambda node, section: node.setdefault(section, {}), sections, cfg)[name] = default
     return cfg
+
+
+def _settings(owner) -> list:
+    """The fields of config dataclass `owner` that are keys of its section."""
+    return [f for f in fields(owner) if f.init and f.name not in _DATA_WIDTHS]
 
 
 def _to_json(value):
@@ -166,31 +170,23 @@ class RunConfig:
     phasespace_spec: PhaseSpaceSpec
     out_dir: Path
 
+    def __post_init__(self):
+        self.out_dir = Path(self.out_dir)
+
     @classmethod
     def from_dict(cls, cfg: dict) -> "RunConfig":
-        def build(section: str):
-            owner, keys = _SCHEMA[section]
+        attrs = {}
+        for key, (attr, _, least) in _UNHELD.items():
+            attrs[attr] = value = reduce(dict.__getitem__, key.split("."), cfg)
+            if least is not None and value < least:
+                raise ValueError(f"{key} must be >= {least}, got {value}")
+        for section, (attr, owner) in _SCHEMA.items():
+            keys = [f.name for f in _settings(owner)]
             try:
-                return owner(**{k: _from_json(cfg[section][k]) for k in keys})
+                attrs[attr] = owner(**{k: _from_json(cfg[section][k]) for k in keys})
             except ValueError as exc:  # its message starts with the key
                 raise ValueError(f"{section}.{exc}") from None
-
-        for key, least in _LEAST.items():
-            if (value := reduce(dict.__getitem__, key.split("."), cfg)) < least:
-                raise ValueError(f"{key} must be >= {least}, got {value}")
-        return cls(
-            oscillator=build("oscillator"),
-            ranges=build("sampling"),
-            n_samples=cfg["dataset"]["n_samples"],
-            data_seed=cfg["dataset"]["seed"],
-            split_seed=cfg["dataset"]["split_seed"],
-            arch=build("network"),
-            init_seed=cfg["network"]["init_seed"],
-            train_config=build("training"),
-            sweep_spec=build("sweep"),
-            phasespace_spec=build("phasespace"),
-            out_dir=Path(cfg["out_dir"]),
-        )
+        return cls(**attrs)
 
 
 def _from_json(value):
@@ -246,6 +242,8 @@ def cmd_generate(args) -> int:
     save_splits(splits, rc.out_dir / SPLITS_FILE)
 
     clamp_rate = float(np.mean(ds.clamped))
+    _, _, sigma_xt, sigma_pt = ds.targets.T
+    below = float(np.mean(sigma_xt * sigma_pt < ds.inputs[:, 3] / 2))  # the labels' own widths
     print(f"wrote {rc.out_dir / DATASET_FILE} ({rc.n_samples} rows) and {rc.out_dir / SPLITS_FILE}")
     print(
         f"splits: train {splits.train.size}, val {splits.validation.size}, "
@@ -254,6 +252,7 @@ def cmd_generate(args) -> int:
     for name, col in zip(CSV_HEADER.split(","), ds.inputs.T):  # zip stops after the inputs
         print(f"  {name}: min {col.min():.6g}, max {col.max():.6g}")
     print(f"negative-variance clamp rate: {clamp_rate:.6g}")
+    print(f"share of rows below the uncertainty bound (sigma_xt*sigma_pt < hbar/2): {below:.6g}")
     return 0
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NoReturn
 
 import numpy as np
@@ -28,11 +28,6 @@ SPLIT_HEADER = "index,split"
 _SPLIT_LABELS = ("train", "val", "test")
 _MIN_ROWS = 10  # the fewest rows that split 80/10/10 with no split empty
 
-# A dataset file's `#` metadata lines, in order: these OscillatorConfig
-# fields, the seed, then each SamplingRanges field under its line's label.
-_CONFIG_KEYS = ("m", "omega", "t")
-_RANGE_LABELS = {k: f"# {k}_range" for k in ("x0", "p0", "sigma_x0", "hbar_log10")}
-_HEAD_LINES = len(_CONFIG_KEYS) + 1 + len(_RANGE_LABELS) + 1  # + seed and CSV_HEADER
 
 
 class DatasetFormatError(ValueError):
@@ -217,11 +212,11 @@ def sample_inputs(ranges: SamplingRanges, n: int, seed: int) -> np.ndarray:
 
 
 def build_dataset(
-    cfg: OscillatorConfig, inputs: np.ndarray, *, ranges: SamplingRanges | None = None, seed: int = 0
+    cfg: OscillatorConfig, inputs: np.ndarray, *, ranges: SamplingRanges, seed: int
 ) -> Dataset:
-    """Label every input row with its closed-form evolution."""
+    """Label every input row with its closed-form evolution; `ranges` and `seed` are what
+    drew the rows (sample_inputs), which the dataset file records."""
     targets, clamped = evolve_batch(cfg, inputs)
-    ranges = ranges if ranges is not None else SamplingRanges()
     inputs = np.asarray(inputs, dtype=np.float64)
     return Dataset(inputs, targets, config=cfg, seed=seed, ranges=ranges, clamped=clamped)
 
@@ -246,9 +241,9 @@ def save_dataset(ds: Dataset, path: str | os.PathLike) -> None:
     if outside:
         raise ValueError("row {}: {}".format(*outside))
     head = [
-        *((f"# {key}", [getattr(ds.config, key)]) for key in _CONFIG_KEYS),
+        *((f"# {key}", [value]) for key, value in vars(ds.config).items()),
         f"# seed {ds.seed}",
-        *((label, getattr(ds.ranges, key)) for key, label in _RANGE_LABELS.items()),
+        *((f"# {key}_range", value) for key, value in vars(ds.ranges).items()),
         CSV_HEADER,
     ]
     _write_text(path, head, np.hstack([ds.inputs, ds.targets]))
@@ -273,38 +268,51 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
 
 def _first_outside(inputs: np.ndarray, ranges: SamplingRanges) -> tuple[int, str] | None:
     """(row, message) of the earliest input cell outside `ranges`, hbar's being ranges.hbar."""
-    lo, hi = np.array([ranges.x0, ranges.p0, ranges.sigma_x0, ranges.hbar]).T
+    names = CSV_HEADER.split(",")[:4]  # the inputs: x0, p0, sigma_x0 and hbar
+    lo, hi = np.array([getattr(ranges, name) for name in names]).T
     for row, col in np.argwhere(~((lo <= inputs) & (inputs <= hi)))[:1]:  # row-major: earliest
-        return int(row), _outside(CSV_HEADER.split(",")[col], inputs[row, col], lo[col], hi[col])
+        return int(row), _outside(names[col], inputs[row, col], lo[col], hi[col])
     return None
 
 
 def _read_header(path: str | os.PathLike, head_only: bool = False):
     """(reader at the first data row, oscillator, seed, ranges) of dataset `path` from its `#`
     lines, the one source of its rows' physics and bounds; head_only reads them and one row."""
-    lines = _read_lines(path, _HEAD_LINES + 1 if head_only else None)
+    osc_keys, range_keys = ([f.name for f in fields(c)] for c in (OscillatorConfig, SamplingRanges))
+    head_lines = len(osc_keys) + 1 + len(range_keys) + 1  # + seed and CSV_HEADER
+    lines = _read_lines(path, head_lines + 1 if head_only else None)
     reader = _TextReader(path, DatasetFormatError, lines)
-    if len(reader.lines) <= _HEAD_LINES:
+    if len(reader.lines) <= head_lines:
         reader.fail("no data rows", len(reader.lines) + 1)
     osc, ranges = {}, {}
-    for k in _CONFIG_KEYS:
+    for k in osc_keys:
         with reader.group():  # each line is checked as read, the fields after it at their defaults
             osc[k] = reader.value(f"# {k}")
             cfg = OscillatorConfig(**osc)
     seed = reader.value("# seed", int)
-    for k, label in _RANGE_LABELS.items():
+    for k in range_keys:
         with reader.group():
-            ranges[k] = tuple(reader.values(label, 2).tolist())
+            ranges[k] = tuple(reader.values(f"# {k}_range", 2).tolist())
             sampled = SamplingRanges(**ranges)
     reader.line(CSV_HEADER)
     return reader, cfg, seed, sampled
 
 
 def save_splits(splits: SplitIndices, path: str | os.PathLike) -> None:
-    """Write the split CSV (`index,split`), one row per dataset row, by index."""
-    parts = zip(_SPLIT_LABELS, (splits.train, splits.validation, splits.test))
-    labels = {int(i): name for name, idx in parts for i in idx}
-    _write_text(path, [SPLIT_HEADER, *(f"{i},{labels[i]}" for i in sorted(labels))])
+    """Write the split CSV (`index,split`), one row per dataset row, by index.  Splits
+    that do not hold each of 0..n-1 once, n being their total size, which load_splits
+    would not read back as they are, raise ValueError naming the first index at fault."""
+    parts = (splits.train, splits.validation, splits.test)
+    labels = {}  # index -> its split's label, or None once it is listed twice
+    for name, idx in zip(_SPLIT_LABELS, parts):
+        for i in np.asarray(idx).tolist():
+            labels[i] = None if i in labels else name
+    n = sum(len(p) for p in parts)
+    k = next((k for k in range(n) if labels.get(k) is None), None)
+    if k is not None:
+        where = "in no split" if k not in labels else "listed more than once"
+        raise ValueError(f"splits must hold each of 0..{n - 1} once; {k} is {where}")
+    _write_text(path, [SPLIT_HEADER, *(f"{i},{labels[i]}" for i in range(n))])
 
 
 def load_splits(path: str | os.PathLike) -> SplitIndices:

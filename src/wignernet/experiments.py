@@ -37,7 +37,7 @@ class _InitialPacket:
     sigma_x0: float = 1.0
 
     def __post_init__(self):
-        check_domain(*((k, k, getattr(self, k)) for k in ("x0", "p0", "sigma_x0")))
+        check_domain(*((f.name, f.name, getattr(self, f.name)) for f in fields(_InitialPacket)))
 
     def _state_rows(self, hbars: np.ndarray) -> np.ndarray:
         """The initial state at each hbar, as predictor input rows."""
@@ -54,8 +54,8 @@ class SweepSpec(_InitialPacket):
     """Fixed initial state swept over n_points log-spaced hbar values, from
     10**hbar_log10_min to 10**hbar_log10_max: hbar_values, sorted strictly ascending."""
 
-    hbar_log10_min: float = -6.0
-    hbar_log10_max: float = 0.0
+    hbar_log10_min: float = SamplingRanges.hbar_log10[0]
+    hbar_log10_max: float = SamplingRanges.hbar_log10[1]
     n_points: int = 50
     hbar_values: np.ndarray = field(init=False, repr=False)
 

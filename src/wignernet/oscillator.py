@@ -21,6 +21,12 @@ The variance expression above is not positive for every input; evaluation
 takes sqrt(|sigma_x(t)^2|) and flags the sign flip (see evolve_batch) rather
 than failing.  A single state is evaluated as a one-row batch.
 
+As hbar -> 0 the width above tends to sigma_x0 sqrt(cos^2(omega t) - sin(2 omega t)),
+0.790 sigma_x0 at omega t = 5, not the classical ensemble's sigma_x0 |cos(omega t)|,
+0.284 sigma_x0.  Nor does the expression keep sigma_x(t) sigma_p(t) >= hbar/2: 35
+of the 10,000 stock rows break it, the least at 0.9685 hbar/2 (cli generate prints
+the share).
+
 Everything here is a pure function of its arguments (thread-safe), computed
 in 64-bit floating point, with m = omega = 1 style dimensionless units.
 

@@ -137,19 +137,13 @@ def train(
 
 
 def save_report(report: TrainReport, csv_path: str | os.PathLike, summary_path: str | os.PathLike) -> None:
-    """Write the loss history CSV and a short human-readable summary."""
+    """Write the loss history CSV and a short human-readable summary: a `name values` line
+    per scalar field of the report (each but the per-epoch lists), in field order."""
     history = zip(
         range(1, len(report.train_loss_per_epoch) + 1),
         report.train_loss_per_epoch,
         report.val_loss_per_epoch,
     )
     _write_text(csv_path, ["epoch,train_loss,val_loss"], history)
-    summary = [
-        f"stopped_epoch {report.stopped_epoch}",
-        f"best_epoch {report.best_epoch}",
-        ("final_train_loss", [report.final_train_loss]),
-        ("final_val_loss", [report.final_val_loss]),
-        ("test_loss", [report.test_loss]),
-        ("per_output_test_mse", report.per_output_test_mse),
-    ]
+    summary = [(k, np.ravel(v)) for k, v in vars(report).items() if not isinstance(v, list)]
     _write_text(summary_path, summary)

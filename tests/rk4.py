@@ -13,26 +13,36 @@ def classical_rk4(cfg: OscillatorConfig, x0, p0, steps: int):
 
     Independent of the closed-form solution; global error falls off as
     steps^-4.  x0 and p0 may be scalars or equal-length arrays (the whole
-    batch is integrated in lockstep).
+    batch is integrated in lockstep).  The state is one stacked (x, p) array,
+    and each step runs the textbook form's operations in its order, into
+    buffers allocated once, so the result has the textbook form's bits.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    x = np.asarray(x0, dtype=np.float64).copy()
-    p = np.asarray(p0, dtype=np.float64).copy()
-    scalar = x.ndim == 0
-    m, w2 = cfg.m, cfg.omega**2
+    state = np.array([x0, p0], dtype=np.float64)
+    shape = state.shape[1:]
+    state = state.reshape(2, -1)
+    x, p = state
+    m, c = cfg.m, -cfg.m * cfg.omega**2
     h = cfg.t / steps
+    k = np.empty((4, *state.shape))  # stage j's (xdot, pdot) in k[j]
+    probe = np.empty_like(state)  # the state at which the next stage's slope is taken
+    probe_x, probe_p = probe
+    doubled, total = np.empty((2, *state.shape)), np.empty_like(state)
     for _ in range(steps):
-        k1x = p / m
-        k1p = -m * w2 * x
-        k2x = (p + 0.5 * h * k1p) / m
-        k2p = -m * w2 * (x + 0.5 * h * k1x)
-        k3x = (p + 0.5 * h * k2p) / m
-        k3p = -m * w2 * (x + 0.5 * h * k2x)
-        k4x = (p + h * k3p) / m
-        k4p = -m * w2 * (x + h * k3x)
-        x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        p = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-    if scalar:
-        return float(x), float(p)
-    return x, p
+        np.divide(p, m, out=k[0, 0])
+        np.multiply(x, c, out=k[0, 1])
+        for stage, step in ((1, 0.5 * h), (2, 0.5 * h), (3, h)):
+            np.multiply(k[stage - 1], step, out=probe)
+            probe += state
+            np.divide(probe_p, m, out=k[stage, 0])
+            np.multiply(probe_x, c, out=k[stage, 1])
+        np.multiply(k[1:3], 2.0, out=doubled)  # k1 + 2 k2 + 2 k3 + k4, summed left to right
+        np.add(k[0], doubled[0], out=total)
+        total += doubled[1]
+        total += k[3]
+        total *= h / 6.0
+        state += total
+    if not shape:
+        return float(x[0]), float(p[0])
+    return x.reshape(shape), p.reshape(shape)

@@ -5,16 +5,18 @@ from __future__ import annotations
 import json
 import re
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wignernet.cli import _FLAGS, build_parser, default_config, main
-from wignernet.data import load_dataset, load_splits
-from wignernet.experiments import SweepSpec
+from wignernet.cli import _FLAGS, _UNHELD, build_parser, default_config, main
+from wignernet.data import SamplingRanges, load_dataset, load_splits
+from wignernet.experiments import PhaseSpaceSpec, SweepSpec
 from wignernet.network import ArchitectureSpec, init_model, save_model
 from wignernet.oscillator import DOMAIN, OscillatorConfig, evolve_batch
+from wignernet.training import TrainConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -45,6 +47,26 @@ class TestConfig:
     def test_readme_json_block_is_the_default_config(self):
         block = README.read_text(encoding="utf-8").split("```json\n", 1)[1].split("```", 1)[0]
         assert json.loads(block) == default_config()
+
+    def test_section_keys_are_their_dataclass_fields(self):
+        """Each held section lists exactly its dataclass's init fields, but the data
+        widths; every other key is one of _UNHELD's."""
+        cfg = default_config()
+        held = {"oscillator": OscillatorConfig, "sampling": SamplingRanges,
+                "network": ArchitectureSpec, "training": TrainConfig, "sweep": SweepSpec,
+                "phasespace": PhaseSpaceSpec}
+        widths = {"input_dim", "output_dim"}
+        keys = set()
+        for section, owner in held.items():
+            names = [f.name for f in fields(owner) if f.init and f.name not in widths]
+            assert [k for k in cfg[section] if f"{section}.{k}" not in _UNHELD] == names
+            keys |= {f"{section}.{name}" for name in names}
+
+        def flat(node, prefix=""):
+            for k, v in node.items():
+                yield from flat(v, f"{prefix}{k}.") if isinstance(v, dict) else [prefix + k]
+
+        assert set(flat(cfg)) - keys == set(_UNHELD)
 
     def test_readme_domain_table_is_the_domain(self):
         """Each row's interval is oscillator.DOMAIN's for the quantity of each key in it."""
@@ -286,6 +308,19 @@ class TestGenerate:
         out = capsys.readouterr().out
         assert "clamp rate" in out
         assert "hbar" in out
+
+    def test_uncertainty_share_is_the_written_datasets(self, tmp_path, capsys):
+        """The share generate prints is that of dataset.csv's rows whose labels give
+        sigma_xt*sigma_pt < hbar/2, which these ranges make far from 0."""
+        cfg = small_config(tmp_path, sampling={"sigma_x0": [0.5, 0.7], "hbar_log10": [-0.3, 0.0]})
+        assert run("generate", "--config", cfg) == 0
+        ds = load_dataset(tmp_path / "run" / "dataset.csv")
+        _, _, sigma_xt, sigma_pt = ds.targets.T
+        share = np.mean(sigma_xt * sigma_pt < ds.inputs[:, 3] / 2)
+        assert 0.2 < share < 0.8
+        last = capsys.readouterr().out.splitlines()[-1]
+        bound = "share of rows below the uncertainty bound (sigma_xt*sigma_pt < hbar/2)"
+        assert last == f"{bound}: {share:.6g}"
 
     def test_seeded_runs_are_byte_identical(self, tmp_path):
         cfg = small_config(tmp_path)

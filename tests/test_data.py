@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from wignernet.data import (
     Dataset,
     DatasetFormatError,
     SamplingRanges,
+    SplitIndices,
     _read_header,
     _write_text,
     build_dataset,
@@ -100,7 +102,7 @@ class TestSampleInputs:
 
 class TestBuildDataset:
     def test_single_row_probe(self):
-        ds = build_dataset(CFG, np.array([[1.0, 0.0, 1.0, 1.0]]))
+        ds = build_dataset(CFG, np.array([[1.0, 0.0, 1.0, 1.0]]), ranges=SamplingRanges(), seed=0)
         assert np.allclose(
             ds.targets[0],
             [0.28366218546322625, 0.9589242746631385, 0.8475635726972683, 0.8475635726972683],
@@ -110,7 +112,7 @@ class TestBuildDataset:
     def test_t_zero_targets_echo_inputs(self):
         cfg = OscillatorConfig(t=0.0)
         inputs = sample_inputs(SamplingRanges(), 50, seed=1)
-        ds = build_dataset(cfg, inputs)
+        ds = build_dataset(cfg, inputs, ranges=SamplingRanges(), seed=1)
         assert np.allclose(ds.targets[:, 0], inputs[:, 0], rtol=1e-14)
         assert np.allclose(ds.targets[:, 1], inputs[:, 1], rtol=1e-14)
         assert np.allclose(ds.targets[:, 2], inputs[:, 2], rtol=1e-14)
@@ -118,14 +120,14 @@ class TestBuildDataset:
 
     def test_rebuild_is_identical(self):
         inputs = sample_inputs(SamplingRanges(), 100, seed=2)
-        a = build_dataset(CFG, inputs)
-        b = build_dataset(CFG, inputs)
+        a = build_dataset(CFG, inputs, ranges=SamplingRanges(), seed=2)
+        b = build_dataset(CFG, inputs, ranges=SamplingRanges(), seed=2)
         assert np.array_equal(a.targets, b.targets)
 
     def test_row_error_carries_index(self):
         inputs = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 1.0, -1.0]])
         with pytest.raises(ValueError, match="row 1"):
-            build_dataset(CFG, inputs)
+            build_dataset(CFG, inputs, ranges=SamplingRanges(), seed=0)
 
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="row count"):
@@ -181,6 +183,15 @@ class TestDatasetRoundTrip:
         assert loaded.seed == ds.seed
         assert loaded.config == ds.config
         assert loaded.ranges == ds.ranges
+
+    def test_head_labels_are_the_dataclass_fields(self, tmp_path):
+        """The `#` lines are OscillatorConfig's fields, then the seed, then each
+        SamplingRanges field with `_range`."""
+        path = tmp_path / "ds.csv"
+        save_dataset(self.make_dataset(), path)
+        labels = [line.split()[1] for line in path.read_text().splitlines() if line[0] == "#"]
+        ranges = [f"{f.name}_range" for f in fields(SamplingRanges)]
+        assert labels == [f.name for f in fields(OscillatorConfig)] + ["seed"] + ranges
 
     def test_seed_beyond_float_precision_reads_back_exactly(self, tmp_path):
         ds = self.make_dataset(seed=10**20 + 1)
@@ -371,7 +382,7 @@ class TestDatasetRoundTrip:
         inputs = sample_inputs(ranges, 4, seed=2)
         inputs[:2, 3] = lo, hi
         path = tmp_path / "ds.csv"
-        save_dataset(build_dataset(CFG, inputs, ranges=ranges), path)
+        save_dataset(build_dataset(CFG, inputs, ranges=ranges, seed=2), path)
         assert np.array_equal(load_dataset(path).inputs, inputs)
         below = math.nextafter(lo, 0.0)
         self.set_cell(path, 10, 3, below)
@@ -389,10 +400,10 @@ class TestDatasetRoundTrip:
         inputs = np.array([[1.0, 0.0, 1.0, 1.0], [1.0, 0.0, 3.0, 1.0]])
         path = tmp_path / "ds.csv"
         with pytest.raises(ValueError) as excinfo:
-            save_dataset(build_dataset(CFG, inputs), path)
+            save_dataset(build_dataset(CFG, inputs, ranges=SamplingRanges(), seed=0), path)
         assert str(excinfo.value) == "row 1: sigma_x0 3.0 is outside [0.5, 2]"
         assert not path.exists()
-        ds = build_dataset(CFG, inputs, ranges=SamplingRanges(sigma_x0=(0.5, 3.0)))
+        ds = build_dataset(CFG, inputs, ranges=SamplingRanges(sigma_x0=(0.5, 3.0)), seed=0)
         save_dataset(ds, path)
         assert np.array_equal(load_dataset(path).inputs, inputs)
 
@@ -416,6 +427,23 @@ class TestSplitRoundTrip:
         assert np.array_equal(loaded.train, s.train)
         assert np.array_equal(loaded.validation, s.validation)
         assert np.array_equal(loaded.test, s.test)
+
+    @pytest.mark.parametrize(
+        "parts, message",
+        [(([0, 1, 2], [3], [2, 4]), "0..5 once; 2 is listed more than once"),
+         (([0, 1], [2], [4]), "0..3 once; 3 is in no split"),
+         (([-1, 1], [2], [3]), "0..3 once; 0 is in no split")],
+        ids=["overlap", "gap", "negative"],
+    )
+    def test_save_refuses_splits_it_would_not_read_back(self, tmp_path, parts, message):
+        """save_splits writes only what load_splits reads back as it was: each of
+        0..n-1 in exactly one split; otherwise it names the first index at fault and
+        writes nothing."""
+        path = tmp_path / "splits.csv"
+        with pytest.raises(ValueError) as excinfo:
+            save_splits(SplitIndices(*map(np.array, parts)), path)
+        assert str(excinfo.value) == f"splits must hold each of {message}"
+        assert not path.exists()
 
     def test_bad_label_rejected(self, tmp_path):
         path = tmp_path / "splits.csv"

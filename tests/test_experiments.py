@@ -41,6 +41,10 @@ class TestSpecs:
         assert spec.hbar_values[0] == pytest.approx(1e-6)
         assert spec.hbar_values[-1] == pytest.approx(1.0)
 
+    def test_sweep_hbar_bounds_default_to_the_sampled_range(self):
+        spec = SweepSpec()
+        assert (spec.hbar_log10_min, spec.hbar_log10_max) == SamplingRanges().hbar_log10
+
     def test_sweep_rejects_unsorted_or_nonpositive(self):
         with pytest.raises(ValueError, match="^n_points must be >= 1, got 0"):
             SweepSpec(n_points=0)

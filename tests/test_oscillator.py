@@ -349,6 +349,22 @@ class TestClassicalRk4:
         with pytest.raises(ValueError):
             classical_rk4(CFG, 1.0, 0.0, 0)
 
+    def test_buffered_steps_have_the_textbook_bits(self):
+        """The stacked, preallocated steps give every bit of the textbook form."""
+        cfg = OscillatorConfig(m=2.5, omega=0.7, t=3.3)
+        rng = np.random.default_rng(4)
+        x, p = rng.uniform(-5, 5, (2, 50))
+        got = classical_rk4(cfg, x, p, 300)
+        m, c, h = cfg.m, -cfg.m * cfg.omega**2, cfg.t / 300
+        for _ in range(300):
+            k1x, k1p = p / m, c * x
+            k2x, k2p = (p + 0.5 * h * k1p) / m, c * (x + 0.5 * h * k1x)
+            k3x, k3p = (p + 0.5 * h * k2p) / m, c * (x + 0.5 * h * k2x)
+            k4x, k4p = (p + h * k3p) / m, c * (x + h * k3x)
+            x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+            p = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        assert np.array_equal(got[0], x) and np.array_equal(got[1], p)
+
     def test_vectorized_agreement_with_closed_form(self):
         """1,000 random initial conditions integrate to the closed form within 1e-9."""
         rng = np.random.default_rng(9)

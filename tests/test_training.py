@@ -6,6 +6,7 @@ import os
 import signal
 import threading
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -327,3 +328,15 @@ class TestSaveReport:
         summary = summary_path.read_text()
         assert "best_epoch 2" in summary
         assert "test_loss 0.31" in summary
+
+    def test_summary_labels_are_the_reports_scalar_fields(self, tmp_path):
+        """summary.txt has one line per TrainReport field, in field order, but the
+        per-epoch lists, which history.csv holds."""
+        report = TrainReport(train_loss_per_epoch=[0.5], val_loss_per_epoch=[0.6])
+        save_report(report, tmp_path / "history.csv", tmp_path / "summary.txt")
+        labels = [line.split()[0] for line in (tmp_path / "summary.txt").read_text().splitlines()]
+        scalars = [f.name for f in fields(TrainReport) if not f.name.endswith("_per_epoch")]
+        assert labels == scalars == [
+            "stopped_epoch", "best_epoch", "final_train_loss", "final_val_loss", "test_loss",
+            "per_output_test_mse",
+        ]
