@@ -6,9 +6,14 @@ enhanced architecture), and the output layer is a plain affine map.  Batch
 normalization uses per-batch statistics with the biased variance while
 training and running statistics at inference:
 
-    train:  y = gamma * (x - mean(x)) / sqrt(var(x) + eps) + beta
+    train:  y = xc * (gamma * inv_std) + beta,  xc = x - mean(x),  inv_std = 1 / sqrt(var(x) + eps)
             running <- momentum * running + (1 - momentum) * batch_stat
     infer:  y = gamma * (x - running_mean) / sqrt(running_var + eps) + beta
+
+The train-mode backward takes the two column sums dbeta = sum(dy) and
+dgamma = inv_std * sum(dy * xc), then
+
+    dx = gamma * inv_std * (dy - dbeta / B - xc * (dgamma * inv_std / B))
 
 An MlpModel is its ArchitectureSpec plus one float64 vector, `state`, laid
 out as [parameters | running statistics]: per block the dense weights
@@ -105,21 +110,20 @@ class BatchNormLayer:
         self.running_mean, self.running_var = running_mean, running_var
 
     def forward_train(self, x: np.ndarray):
-        """Normalize with batch statistics, updating the running ones; returns (y, cache)."""
+        """Normalize by batch statistics and update the running ones; returns (y, (xc, inv_std))."""
         # np.add.reduce: the column sums of ndarray.mean and np.sum, minus their Python layer.
         batch = x.shape[0]
         mean = np.add.reduce(x, 0) / batch
-        xhat = x - mean
-        y = xhat * xhat  # y serves as scratch until the output is written into it
+        xc = x - mean
+        y = xc * xc  # y serves as scratch until the output is written into it
         var = np.add.reduce(y, 0) / batch  # biased, consistent with the backward pass
         inv_std = 1.0 / np.sqrt(var + self.epsilon)
-        xhat *= inv_std
         for running, stat in ((self.running_mean, mean), (self.running_var, var)):
             running *= self.momentum
             running += (1.0 - self.momentum) * stat
-        np.multiply(xhat, self.gamma, out=y)
+        np.multiply(xc, self.gamma * inv_std, out=y)
         y += self.beta
-        return y, (xhat, inv_std)
+        return y, (xc, inv_std)
 
     def forward_infer(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Normalize with the frozen running statistics into out (x itself, or by default new)."""
@@ -133,23 +137,17 @@ class BatchNormLayer:
 
     def backward(self, dy: np.ndarray, cache, dgamma: np.ndarray, dbeta: np.ndarray) -> np.ndarray:
         """Gradients through the batch-statistic normalization: writes dgamma
-        and dbeta and returns dx, through the batch mean and variance of every row.
-        """
-        xhat, inv_std = cache
+        and dbeta and returns dx, through the batch mean and variance of every row."""
+        xc, inv_std = cache
         batch = dy.shape[0]
-        scratch = dy * xhat
+        scratch = dy * xc
         np.add.reduce(scratch, 0, out=dgamma)
+        dgamma *= inv_std
         np.add.reduce(dy, 0, out=dbeta)
-        # dx = (inv_std / batch) * (batch * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)),
-        # evaluated in that order, with dxhat = dy * gamma.
-        dx = dy * self.gamma
-        dxhat_sum = np.add.reduce(dx, 0)
-        np.multiply(dx, xhat, out=scratch)
-        np.multiply(xhat, np.add.reduce(scratch, 0), out=scratch)
-        dx *= batch
-        dx -= dxhat_sum
-        dx -= scratch
-        dx *= inv_std / batch
+        # The module docstring's dx, evaluated in its order.
+        dx = dy - dbeta / batch
+        dx -= np.multiply(xc, dgamma * inv_std / batch, out=scratch)
+        dx *= self.gamma * inv_std
         return dx
 
 
@@ -159,7 +157,7 @@ class ForwardCache:
 
     block_inputs: list[np.ndarray]
     relu_masks: list[np.ndarray]  # 1.0 where the pre-activation is positive, else 0.0
-    bn_caches: list[tuple]
+    bn_caches: list[tuple]  # (xc, inv_std) per block: the centred input and 1 / sqrt(var + eps)
     final_input: np.ndarray
     output: np.ndarray
 
@@ -349,7 +347,9 @@ def _dense_grad(g: np.ndarray, layer_input: np.ndarray, grad: DenseLayer) -> Non
 
 class Adam:
     """Adam with bias correction over one parameter array; epsilon is added
-    outside the square root.
+    outside the square root.  lr * (m / bc1) / (sqrt(v / bc2) + eps) is taken in the
+    folded form alpha * m / (sqrt(v) + eps_hat), alpha = lr * sqrt(bc2) / bc1 and
+    eps_hat = eps * sqrt(bc2) (Kingma & Ba, ICLR 2015, Sec. 2).
 
     A step updates the first half of the array (along its first axis) on the
     calling thread and the second half on the worker thread, each element by
@@ -366,7 +366,7 @@ class Adam:
         self.step_count = 0
         self.first_moment = np.zeros_like(params)
         self.second_moment = np.zeros_like(params)
-        self._scratch = (np.empty_like(params), np.empty_like(params))
+        self._scratch = np.empty_like(params)
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         """One update of params, in place."""
@@ -375,15 +375,16 @@ class Adam:
                 f"expected shape {self.first_moment.shape}, got {params.shape} and {grads.shape}"
             )
         self.step_count += 1
-        bc1 = 1.0 - self.BETA1**self.step_count
-        bc2 = 1.0 - self.BETA2**self.step_count
-        arrays = (params, grads, self.first_moment, self.second_moment, *self._scratch)
+        root_bc2 = math.sqrt(1.0 - self.BETA2**self.step_count)
+        alpha = self.learning_rate * root_bc2 / (1.0 - self.BETA1**self.step_count)
+        eps_hat = self.EPSILON * root_bc2
+        arrays = (params, grads, self.first_moment, self.second_moment, self._scratch)
         half = len(params) // 2
         with _worker_lane() as submit:
-            submit(self._update, *(a[half:] for a in arrays), bc1, bc2)
-            self._update(*(a[:half] for a in arrays), bc1, bc2)
+            submit(self._update, *(a[half:] for a in arrays), alpha, eps_hat)
+            self._update(*(a[:half] for a in arrays), alpha, eps_hat)
 
-    def _update(self, params, grads, m, v, s, t, bc1: float, bc2: float) -> None:
+    def _update(self, params, grads, m, v, s, alpha: float, eps_hat: float) -> None:
         """The update of one part of params, with its moments and scratch."""
         m *= self.BETA1
         m += np.multiply(grads, 1.0 - self.BETA1, out=s)
@@ -391,12 +392,11 @@ class Adam:
         np.multiply(grads, grads, out=s)
         s *= 1.0 - self.BETA2
         v += s
-        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in that order.
-        np.divide(m, bc1, out=s)
-        s *= self.learning_rate
-        np.sqrt(np.divide(v, bc2, out=t), out=t)
-        t += self.EPSILON
-        s /= t
+        # p -= alpha * m / (sqrt(v) + eps_hat), as m / (sqrt(v) + eps_hat) times alpha.
+        np.sqrt(v, out=s)
+        s += eps_hat
+        np.divide(m, s, out=s)
+        s *= alpha
         params -= s
 
 

@@ -97,14 +97,14 @@ def train(
             batch = order[start : start + config.batch_size]
             if batch.size == 1:
                 continue  # batchnorm variance is degenerate for a single row
+            target = dataset.targets[batch]
             out, cache = model.forward_train(dataset.inputs[batch])
-            loss = mse_loss(out, dataset.targets[batch])
+            loss = mse_loss(out, target)
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite training loss {loss} at epoch {epoch}, batch {batch_index}; aborting"
                 )
-            grads = backward(model, cache, dataset.targets[batch])
-            adam.step(model.params, grads)
+            adam.step(model.params, backward(model, cache, target))
             loss_sum += loss * batch.size
             rows_seen += batch.size
 

@@ -226,6 +226,41 @@ class TestGradCheck:
         assert worst <= 1e-5
 
 
+class TestBatchNormBackward:
+    @pytest.mark.parametrize("batch, width, constant", [(2, 3, None), (64, 5, None), (16, 4, 2)],
+                             ids=["B=2", "B=64", "constant-column"])
+    def test_matches_central_differences_through_forward_train(self, batch, width, constant):
+        """dx, dgamma and dbeta of L = sum(w * y) over forward_train alone agree with
+        central differences to 1e-6 relative; a constant column has zero variance,
+        so its inv_std is 1 / sqrt(eps)."""
+        rng = np.random.default_rng(batch)
+        bn = BatchNormLayer(rng.uniform(0.5, 2.0, width), rng.normal(size=width),
+                            np.zeros(width), np.ones(width))
+        x, w = rng.normal(size=(batch, width)), rng.normal(size=(batch, width))
+        if constant is not None:
+            x[:, constant] = 0.7
+        _, cache = bn.forward_train(x)
+        if constant is not None:
+            assert cache[1][constant] == 1.0 / math.sqrt(bn.epsilon)
+        dgamma, dbeta = np.empty(width), np.empty(width)
+        analytic = (bn.backward(w, cache, dgamma, dbeta), dgamma, dbeta)
+
+        worst, h = 0.0, 1e-5
+        for array, grad in zip((x, bn.gamma, bn.beta), analytic):
+            for i in np.ndindex(array.shape):
+                orig = array[i]
+                array[i] = orig + h
+                up = np.sum(w * bn.forward_train(x)[0])
+                array[i] = orig - h
+                down = np.sum(w * bn.forward_train(x)[0])
+                array[i] = orig
+                numeric = (up - down) / (2.0 * h)
+                if abs(grad[i]) < 1e-12 and abs(numeric) < 1e-12:
+                    continue
+                worst = max(worst, abs(grad[i] - numeric) / max(abs(grad[i]), abs(numeric), 1e-8))
+        assert worst <= 1e-6
+
+
 class TestAdam:
     def test_first_step_magnitude_and_direction(self):
         lr, eps = 0.0005, 1e-7
@@ -274,10 +309,15 @@ class TestAdam:
             assert mse_loss(after, y) < before
 
 
-def reference_step(model, x, y, moments, step_count, lr):
+def per_tensor_step(model, x, y, moments, step_count, lr, folded):
     """One training step written the way the per-tensor implementation did it:
     batchnorm statistics from x.var(), gradients as a list of fresh arrays,
-    and a per-tensor Adam loop.  moments holds one (m, v) pair per tensor."""
+    and a per-tensor Adam loop.  moments holds one (m, v) pair per tensor.
+
+    folded=True takes network's formulas in its order of operations: batchnorm
+    caches the centred input and its backward starts from dbeta and dgamma, and
+    Adam folds its bias corrections into a step size and epsilon.  folded=False
+    takes the textbook formulas, which equal them up to rounding."""
     block_inputs, pre_activations, bn_caches = [], [], []
     for dense, bn in model.blocks:
         block_inputs.append(x)
@@ -287,11 +327,16 @@ def reference_step(model, x, y, moments, step_count, lr):
         mean = x.mean(axis=0)
         var = x.var(axis=0)
         inv_std = 1.0 / np.sqrt(var + bn.epsilon)
-        xhat = (x - mean) * inv_std
+        xc = x - mean
         bn.running_mean[...] = bn.momentum * bn.running_mean + (1.0 - bn.momentum) * mean
         bn.running_var[...] = bn.momentum * bn.running_var + (1.0 - bn.momentum) * var
-        x = bn.gamma * xhat + bn.beta
-        bn_caches.append((xhat, inv_std))
+        if folded:
+            x = xc * (bn.gamma * inv_std) + bn.beta
+            bn_caches.append((xc, inv_std))
+        else:
+            xhat = xc * inv_std
+            x = bn.gamma * xhat + bn.beta
+            bn_caches.append((xhat, inv_std))
     out_layer = model.output_layer
     out = x @ out_layer.weights.T + out_layer.bias
 
@@ -300,14 +345,19 @@ def reference_step(model, x, y, moments, step_count, lr):
     g = g @ out_layer.weights
     for i in range(len(model.blocks) - 1, -1, -1):
         dense, bn = model.blocks[i]
-        xhat, inv_std = bn_caches[i]
         batch = g.shape[0]
-        dgamma = np.sum(g * xhat, axis=0)
         dbeta = np.sum(g, axis=0)
-        dxhat = g * bn.gamma
-        g = (inv_std / batch) * (
-            batch * dxhat - np.sum(dxhat, axis=0) - xhat * np.sum(dxhat * xhat, axis=0)
-        )
+        if folded:
+            xc, inv_std = bn_caches[i]
+            dgamma = np.sum(g * xc, axis=0) * inv_std
+            g = (g - dbeta / batch - xc * (dgamma * inv_std / batch)) * (bn.gamma * inv_std)
+        else:
+            xhat, inv_std = bn_caches[i]
+            dgamma = np.sum(g * xhat, axis=0)
+            dxhat = g * bn.gamma
+            g = (inv_std / batch) * (
+                batch * dxhat - np.sum(dxhat, axis=0) - xhat * np.sum(dxhat * xhat, axis=0)
+            )
         g = g * (pre_activations[i] > 0.0)
         grads[:0] = [g.T @ block_inputs[i], g.sum(axis=0), dgamma, dbeta]
         g = g @ dense.weights
@@ -320,7 +370,20 @@ def reference_step(model, x, y, moments, step_count, lr):
         m += (1.0 - beta1) * g
         v *= beta2
         v += (1.0 - beta2) * (g * g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        if folded:
+            p -= m / (np.sqrt(v) + eps * math.sqrt(bc2)) * (lr * math.sqrt(bc2) / bc1)
+        else:
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+def reference_step(model, x, y, moments, step_count, lr):
+    """network's training step, per tensor; see per_tensor_step."""
+    per_tensor_step(model, x, y, moments, step_count, lr, folded=True)
+
+
+def textbook_step(model, x, y, moments, step_count, lr):
+    """The textbook batchnorm and Adam formulas, per tensor; see per_tensor_step."""
+    per_tensor_step(model, x, y, moments, step_count, lr, folded=False)
 
 
 class TestFlatState:
@@ -347,6 +410,30 @@ class TestFlatState:
             assert np.array_equal(adam.first_moment, np.concatenate([m.ravel() for m, _ in moments]))
             assert np.array_equal(adam.second_moment, np.concatenate([v.ravel() for _, v in moments]))
 
+    @pytest.mark.parametrize(
+        "spec, batch", [(small_spec(hidden=(8, 6)), 16), (ArchitectureSpec(), 64)], ids=["16", "64"]
+    )
+    def test_training_steps_agree_with_the_textbook_formulas(self, spec, batch):
+        """Six steps of forward_train/backward/Adam.step agree with the textbook
+        batchnorm and Adam formulas to rounding, in every parameter, moment and
+        running stat: the folded forms are the same mathematics."""
+        lr = 0.01
+        model = init_model(spec, seed=11)
+        textbook = init_model(spec, seed=11)
+        moments = [(np.zeros_like(p), np.zeros_like(p)) for p in textbook.parameters()]
+        adam = Adam(model.params, learning_rate=lr)
+        rng = np.random.default_rng(11)
+        for step in range(1, 7):
+            x, y = random_batch(rng, b=batch)
+            out, cache = model.forward_train(x)
+            adam.step(model.params, backward(model, cache, y))
+            textbook_step(textbook, x, y, moments, step, lr)
+            close = dict(rtol=1e-9, atol=1e-12, err_msg=f"step {step}")
+            np.testing.assert_allclose(model.state, textbook.state, **close)
+            for i, moment in enumerate((adam.first_moment, adam.second_moment)):
+                np.testing.assert_allclose(moment, np.concatenate([mv[i].ravel() for mv in moments]),
+                                           **close)
+
     def test_worker_exception_is_raised_by_backward(self):
         """A weight-gradient matmul with a wrong-shaped out= fails on the worker
         thread; backward raises it, and the next call works again."""
@@ -363,12 +450,11 @@ class TestFlatState:
         assert np.array_equal(backward(model, cache, y), expected)
 
     def test_worker_exception_is_raised_by_adam_step(self):
-        """The second half's scratch has one slot too many, so only the worker's
-        np.divide(..., out=) fails; Adam.step raises it."""
+        """The second moment has one slot too many, so only the worker's half,
+        [5:], mismatches its gradient; Adam.step raises the worker's error."""
         params = np.arange(10.0)
         adam = Adam(params, learning_rate=0.01)
-        s, _ = adam._scratch
-        adam._scratch = (s, np.empty(11))
+        adam.second_moment = np.zeros(11)
         with pytest.raises(ValueError):
             adam.step(params, np.ones(10))
 
