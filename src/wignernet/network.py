@@ -24,24 +24,12 @@ spec and builds its layers as views of it, so a layer never owns storage;
 (differentiated through the batch statistics) in the layout of `params`, as
 the model-owned buffer `grad`, which the next call overwrites.  All math is
 float64.
-
-A training step runs in two lanes: the calling thread and one worker thread
-per process, started on first use.  backward() leaves each layer's weight
-gradient and bias sum to the worker once that layer's output gradient is
-final, and Adam.step updates half of the parameters on each thread.  Each
-array operation is the call it would be on one thread, on the same operands,
-so the results are bit for bit those of one thread.  The worker only writes
-views that the calling thread neither reads nor writes until both lanes are
-done, and it calls no layer method.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import queue
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,10 +178,7 @@ class MlpModel:
     every layer over views of `state`; the same walk over `grad` gives the
     gradient views that backward() writes.  Train-mode forwards mutate
     running statistics and must be serialized by the caller; infer-mode
-    forwards are read-only and thread-safe.  Every layer method runs on the
-    calling thread; only backward() and Adam.step hand work to the worker
-    thread, which writes disjoint views of `grad`, and of the optimizer's
-    state, and is done with them when those calls return.
+    forwards are read-only and thread-safe.
     """
 
     def __init__(self, spec: ArchitectureSpec, init_seed: int):
@@ -308,15 +293,7 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
 
 def backward(model: MlpModel, cache: ForwardCache, target: np.ndarray) -> np.ndarray:
     """Exact gradient of mse_loss w.r.t. model.params, returned as model.grad,
-    which the next call overwrites.
-
-    The calling thread runs the serial chain: per block from the last, the
-    batchnorm backward, the ReLU mask and the input gradient g @ W.  The worker
-    thread computes each layer's weight gradient and bias sum once that
-    layer's g is final; g is not written after that.  The two write disjoint
-    views of model.grad.  This returns when both are done, with grad
-    complete, and raises a worker's exception here.
-    """
+    which the next call overwrites."""
     target = np.asarray(target, dtype=np.float64)
     if target.shape != cache.output.shape:
         raise ValueError(
@@ -325,16 +302,15 @@ def backward(model: MlpModel, cache: ForwardCache, target: np.ndarray) -> np.nda
     g = 2.0 * (cache.output - target) / cache.output.size
 
     grad_blocks, grad_out = model._grad_layers
-    with _worker_lane() as submit:
-        submit(_dense_grad, g, cache.final_input, grad_out)
-        g = g @ model.output_layer.weights
-        for i in range(len(model.blocks) - 1, -1, -1):
-            (dense, bn), (grad_dense, grad_bn) = model.blocks[i], grad_blocks[i]
-            g = bn.backward(g, cache.bn_caches[i], grad_bn.gamma, grad_bn.beta)
-            g *= cache.relu_masks[i]
-            submit(_dense_grad, g, cache.block_inputs[i], grad_dense)
-            if i:  # block 0's input gradient would be the data's
-                g = g @ dense.weights
+    _dense_grad(g, cache.final_input, grad_out)
+    g = g @ model.output_layer.weights
+    for i in range(len(model.blocks) - 1, -1, -1):
+        (dense, bn), (grad_dense, grad_bn) = model.blocks[i], grad_blocks[i]
+        g = bn.backward(g, cache.bn_caches[i], grad_bn.gamma, grad_bn.beta)
+        g *= cache.relu_masks[i]
+        _dense_grad(g, cache.block_inputs[i], grad_dense)
+        if i:  # block 0's input gradient would be the data's
+            g = g @ dense.weights
     return model.grad
 
 
@@ -350,11 +326,6 @@ class Adam:
     outside the square root.  lr * (m / bc1) / (sqrt(v / bc2) + eps) is taken in the
     folded form alpha * m / (sqrt(v) + eps_hat), alpha = lr * sqrt(bc2) / bc1 and
     eps_hat = eps * sqrt(bc2) (Kingma & Ba, ICLR 2015, Sec. 2).
-
-    A step updates the first half of the array (along its first axis) on the
-    calling thread and the second half on the worker thread, each element by
-    the same operations as one whole-array pass.  The halves are disjoint in
-    params and in the optimizer's state; step returns when both are done.
     """
 
     BETA1 = 0.9
@@ -378,14 +349,7 @@ class Adam:
         root_bc2 = math.sqrt(1.0 - self.BETA2**self.step_count)
         alpha = self.learning_rate * root_bc2 / (1.0 - self.BETA1**self.step_count)
         eps_hat = self.EPSILON * root_bc2
-        arrays = (params, grads, self.first_moment, self.second_moment, self._scratch)
-        half = len(params) // 2
-        with _worker_lane() as submit:
-            submit(self._update, *(a[half:] for a in arrays), alpha, eps_hat)
-            self._update(*(a[:half] for a in arrays), alpha, eps_hat)
-
-    def _update(self, params, grads, m, v, s, alpha: float, eps_hat: float) -> None:
-        """The update of one part of params, with its moments and scratch."""
+        m, v, s = self.first_moment, self.second_moment, self._scratch
         m *= self.BETA1
         m += np.multiply(grads, 1.0 - self.BETA1, out=s)
         v *= self.BETA2
@@ -398,61 +362,6 @@ class Adam:
         np.divide(m, s, out=s)
         s *= alpha
         params -= s
-
-
-# This process's worker thread, as (pid, its task queue); started on first use.
-# A forked child does not inherit the thread, so a new pid starts a new one.
-_worker = (0, None)
-_worker_start = threading.Lock()
-
-
-def _worker_tasks() -> queue.SimpleQueue:
-    """The task queue of this process's worker thread, which this call starts if need be."""
-    global _worker
-    pid, tasks = _worker
-    if pid != os.getpid():
-        with _worker_start:
-            pid, tasks = _worker
-            if pid != os.getpid():
-                tasks = queue.SimpleQueue()
-                threading.Thread(target=_serve, args=(tasks,), name="wignernet-worker",
-                                 daemon=True).start()
-                _worker = os.getpid(), tasks
-    return tasks
-
-
-def _serve(tasks: queue.SimpleQueue) -> None:
-    """The worker's loop: run each (fn, args, done) in order, putting its exception
-    or None on done."""
-    while True:
-        fn, args, done = tasks.get()
-        try:
-            fn(*args)
-            outcome = None
-        except BaseException as exc:  # raised again by the caller that waits on done
-            outcome = exc
-        done.put(outcome)
-        del fn, args, done, outcome  # keep no array alive while idle
-
-
-@contextmanager
-def _worker_lane():
-    """Yield submit(fn, *args), which queues fn(*args) for the worker thread, run
-    in the order submitted.  On exit wait for every call, then raise the first
-    exception one raised, unless the block itself raised."""
-    tasks, done, submitted = _worker_tasks(), queue.SimpleQueue(), []
-
-    def submit(fn, *args) -> None:
-        tasks.put((fn, args, done))
-        submitted.append(fn)
-
-    try:
-        yield submit
-    finally:
-        errors = [done.get() for _ in submitted]
-    for error in errors:
-        if error is not None:
-            raise error
 
 
 def save_model(model: MlpModel, path) -> None:

@@ -391,9 +391,9 @@ class TestFlatState:
         "spec, batch", [(small_spec(hidden=(8, 6)), 16), (ArchitectureSpec(), 64)], ids=["16", "64"]
     )
     def test_training_steps_match_the_per_tensor_reference_bit_for_bit(self, spec, batch):
-        """Six steps of forward_train/backward/Adam.step on the flat state, in two
-        lanes, equal the one-thread per-tensor reference in every parameter,
-        moment and running stat: a small spec at B = 16, the stock one at B = 64."""
+        """Six steps of forward_train/backward/Adam.step on the flat state equal
+        the per-tensor reference in every parameter, moment and running stat: a
+        small spec at B = 16, the stock one at B = 64."""
         lr = 0.01
         model = init_model(spec, seed=11)
         reference = init_model(spec, seed=11)
@@ -434,9 +434,9 @@ class TestFlatState:
                 np.testing.assert_allclose(moment, np.concatenate([mv[i].ravel() for mv in moments]),
                                            **close)
 
-    def test_worker_exception_is_raised_by_backward(self):
-        """A weight-gradient matmul with a wrong-shaped out= fails on the worker
-        thread; backward raises it, and the next call works again."""
+    def test_backward_raises_a_failed_weight_gradient_and_then_recovers(self):
+        """A weight-gradient matmul with a wrong-shaped out= fails; backward
+        raises its error, and the next call works again."""
         model = init_model(small_spec(hidden=(8, 6)), seed=13)
         x, y = random_batch(np.random.default_rng(13))
         _, cache = model.forward_train(x)
@@ -449,9 +449,9 @@ class TestFlatState:
         expected = backward(model, cache, y).copy()
         assert np.array_equal(backward(model, cache, y), expected)
 
-    def test_worker_exception_is_raised_by_adam_step(self):
-        """The second moment has one slot too many, so only the worker's half,
-        [5:], mismatches its gradient; Adam.step raises the worker's error."""
+    def test_adam_step_raises_a_moment_that_mismatches_the_gradient(self):
+        """The second moment has one slot too many, which the shape check on
+        params and grads does not see; Adam.step raises the update's error."""
         params = np.arange(10.0)
         adam = Adam(params, learning_rate=0.01)
         adam.second_moment = np.zeros(11)

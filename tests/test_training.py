@@ -2,17 +2,14 @@
 
 from __future__ import annotations
 
-import os
-import signal
 import threading
-import time
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from wignernet.data import Dataset, SamplingRanges, SplitIndices, split_indices
-from wignernet.network import ArchitectureSpec, BatchNormLayer, DenseLayer, init_model, mse_loss
+from wignernet.network import ArchitectureSpec, init_model, mse_loss
 from wignernet.oscillator import OscillatorConfig
 from wignernet.training import (
     TrainConfig,
@@ -211,54 +208,16 @@ class TestTrainLoop:
             train(tiny_model(), ds, splits, TrainConfig(batch_size=8, max_epochs=1))
 
 
-class TestTwoLanes:
-    """A training step runs on the calling thread and on one worker thread per process."""
+class TestTrainingThreads:
+    """A training step runs on the calling thread alone."""
 
-    def run(self, seed=0):
-        ds = affine_dataset(n=80, seed=seed)
-        config = TrainConfig(max_epochs=2, batch_size=16, patience=2, learning_rate=0.01)
-        model, _ = train(tiny_model(seed=seed, hidden=(16, 8)), ds, split_indices(80, seed), config)
-        return model.snapshot()
-
-    def test_repeated_training_leaves_at_most_one_extra_thread(self):
+    def test_repeated_training_starts_no_thread(self):
         before = threading.active_count()
+        config = TrainConfig(max_epochs=2, batch_size=16, patience=2, learning_rate=0.01)
         for seed in range(5):
-            self.run(seed)
-        assert threading.active_count() <= before + 1
-
-    def test_layer_methods_run_on_the_calling_thread_only(self, monkeypatch):
-        """The methods a span tracer wraps never run on the worker thread."""
-        seen = set()
-        methods = [(DenseLayer, "forward"), (BatchNormLayer, "forward_train"),
-                   (BatchNormLayer, "forward_infer"), (BatchNormLayer, "backward")]
-        for cls, name in methods:
-            def recording(*args, _method=getattr(cls, name), _name=name, **kwargs):
-                seen.add((_name, threading.get_ident()))
-                return _method(*args, **kwargs)
-
-            monkeypatch.setattr(cls, name, recording)
-        self.run()
-        assert {name for name, _ in seen} == {name for _, name in methods}
-        assert {ident for _, ident in seen} == {threading.get_ident()}
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_child_forked_after_training_trains_the_same_bits(self):
-        expected = self.run(seed=1)  # this process's worker thread now exists
-        pid = os.fork()
-        if pid == 0:  # the child has no worker thread; it must start its own
-            code = 1
-            try:
-                code = 0 if np.array_equal(self.run(seed=1), expected) else 2
-            finally:
-                os._exit(code)
-        deadline = time.monotonic() + 60
-        while (waited := os.waitpid(pid, os.WNOHANG))[0] == 0:
-            if time.monotonic() > deadline:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                pytest.fail("the forked child did not finish training within 60 s")
-            time.sleep(0.05)
-        assert os.waitstatus_to_exitcode(waited[1]) == 0
+            ds = affine_dataset(n=80, seed=seed)
+            train(tiny_model(seed=seed, hidden=(16, 8)), ds, split_indices(80, seed), config)
+        assert threading.active_count() == before
 
 
 class TestEvaluate:
