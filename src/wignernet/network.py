@@ -8,7 +8,7 @@ training and running statistics at inference:
 
     train:  y = xc * (gamma * inv_std) + beta,  xc = x - mean(x),  inv_std = 1 / sqrt(var(x) + eps)
             running <- momentum * running + (1 - momentum) * batch_stat
-    infer:  y = gamma * (x - running_mean) / sqrt(running_var + eps) + beta
+    infer:  y = x * scale + (beta - running_mean * scale),  scale = gamma / sqrt(running_var + eps)
 
 The train-mode backward takes the two column sums dbeta = sum(dy) and
 dgamma = inv_std * sum(dy * xc), then
@@ -114,13 +114,11 @@ class BatchNormLayer:
         return y, (xc, inv_std)
 
     def forward_infer(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Normalize with the frozen running statistics into out (x itself, or by default new)."""
-        inv_std = 1.0 / np.sqrt(self.running_var + self.epsilon)
-        # gamma * (x - mean) * inv_std + beta, in that order, in one array.
-        y = np.subtract(x, self.running_mean, out=out)
-        y *= self.gamma
-        y *= inv_std
-        y += self.beta
+        """Normalize with the frozen running statistics into out (x itself, or by default new),
+        as the per-feature affine map x * scale + shift: two passes over x."""
+        scale = self.gamma / np.sqrt(self.running_var + self.epsilon)
+        y = np.multiply(x, scale, out=out)
+        y += self.beta - self.running_mean * scale
         return y
 
     def backward(self, dy: np.ndarray, cache, dgamma: np.ndarray, dbeta: np.ndarray) -> np.ndarray:

@@ -12,10 +12,14 @@ byte for byte against stock_outputs.json (TestStockOutputs).  Run it with
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -116,7 +120,9 @@ class TestCriterion1:
 
         ratio_err = np.max(np.abs(out[:, 3] / out[:, 2] - 1.0))  # m = omega = 1
 
-        rk4_x, rk4_p = classical_rk4(cfg, x0, p0, 10_000)
+        # 2,000 steps put RK4 about 1e-11 from the oracle, 100x inside the tolerance, in
+        # under 0.1 s, so the wall-time gate has room on a busy host.
+        rk4_x, rk4_p = classical_rk4(cfg, x0, p0, 2_000)
         rk4_err = max(np.max(np.abs(rk4_x - out[:, 0])), np.max(np.abs(rk4_p - out[:, 1])))
 
         elapsed = time.time() - start
@@ -288,14 +294,27 @@ class TestCriterion7:
 STOCK_OUTPUTS = Path(__file__).with_name("stock_outputs.json")
 
 
+def blas_core() -> str | None:
+    """The kernel core that numpy's bundled scipy-openblas picked at run time (set by
+    OPENBLAS_CORETYPE where that is given), or None where numpy bundles no such library."""
+    for path in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_*.so")):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
 def environment() -> dict:
-    """What the stock outputs' bits may depend on: the numpy version, its BLAS build,
-    and the SIMD extensions numpy found on this CPU."""
+    """What the stock outputs' bits may depend on: the numpy version, its BLAS build
+    and the kernel core that BLAS picked on this CPU, and the SIMD extensions numpy
+    found on it."""
     config = np.show_config(mode="dicts")
     blas = config["Build Dependencies"]["blas"]
     return {
         "numpy": np.__version__,
         **{f"blas {key}": blas.get(key) for key in ("name", "version", "openblas configuration")},
+        "blas core": blas_core(),
         **{f"simd {key}": found for key, found in config["SIMD Extensions"].items()},
     }
 
@@ -338,6 +357,17 @@ class TestStockOutputs:
             f"{len(outputs)} outputs and {len(pipeline.stdout)} stdouts against "
             f"{STOCK_OUTPUTS.name}; differ: {'; '.join(changed) or 'none'}",
         )
+
+    def test_environment_names_a_forced_blas_core(self):
+        """OPENBLAS_CORETYPE picks another kernel with the same build; environment()
+        records the kernel, so a manifest check under it XFAILs and names it."""
+        if blas_core() is None:
+            pytest.skip("numpy bundles no scipy-openblas here")
+        env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": os.pathsep.join(sys.path)}
+        script = "from test_acceptance import environment; print(environment()['blas core'])"
+        found = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                               text=True, check=True)
+        assert found.stdout.strip() == "Haswell"
 
     def test_differences_name_each_output_and_field(self):
         recorded = {"run/a.csv": "1", "run/b.csv": "2", "best_epoch": 37}
