@@ -303,7 +303,7 @@ def cmd_sweep(args) -> int:
         f"{report.n_in_range} points, max rel err {report.max_rel_err:.6g}, "
         f"median rel err {report.median_rel_err:.6g}"
     )
-    print(f"degenerate predictions: {report.n_degenerate}")
+    print(f"degenerate predictions: {result.n_degenerate}")
     print(f"localization keeps decreasing below trained range: {report.extrapolation_decreasing}")
     return 0
 

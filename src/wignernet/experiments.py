@@ -21,9 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .data import SamplingRanges, _write_text
-from .oscillator import (
-    GaussianWigner, OscillatorConfig, check_domain, evolve_batch, wigner_grid, wigner_value
-)
+from .oscillator import OscillatorConfig, check_domain, evolve_batch, wigner_grid
 
 Predictor = Callable[[np.ndarray], np.ndarray]
 
@@ -121,13 +119,13 @@ class SweepResult:
 
 @dataclass
 class PhaseSpaceResult:
-    """One reconstructed Wigner grid, or a structured error when degenerate."""
+    """One reconstructed Wigner grid, or a structured error when degenerate.
+    `axis` is both the position and the momentum axis of the square grid."""
 
     hbar: float
     prediction: np.ndarray | None = None
     values: np.ndarray | None = None
-    x_axis: np.ndarray | None = None
-    p_axis: np.ndarray | None = None
+    axis: np.ndarray | None = None
     levels: np.ndarray | None = None
     peak_value: float = float("nan")
     error: str | None = None
@@ -140,7 +138,6 @@ class ConvergenceReport:
     max_rel_err: float
     median_rel_err: float
     n_in_range: int
-    n_degenerate: int
     extrapolation_decreasing: bool
 
 
@@ -174,37 +171,28 @@ def hbar_sweep(predict: Predictor, spec: SweepSpec, cfg: OscillatorConfig) -> Sw
 
 
 def phase_space_grids(predict: Predictor, spec: PhaseSpaceSpec) -> list[PhaseSpaceResult]:
-    """Reconstruct the predicted Wigner function on the grid for each hbar.
+    """Reconstruct the predicted Wigner function for each hbar on the square grid
+    whose `axis`, np.linspace(grid_min, grid_max, grid_points), spans x and p.
 
     The contour levels are 20 linearly spaced values between the grid minimum
-    and maximum.  peak_value is the Gaussian evaluated at the predicted
-    center, 1/(pi hbar) exactly.
+    and maximum.  peak_value is the Gaussian at the predicted center, 1/(pi hbar).
     """
     inputs = spec._state_rows(np.array(spec.hbar_values, dtype=np.float64))
+    axis = np.linspace(spec.grid_min, spec.grid_max, spec.grid_points)
     results = []
     for k, hbar in enumerate(spec.hbar_values):  # (1, 4) batches: a wider one may move last bits
         pred = np.asarray(predict(inputs[k : k + 1]), dtype=np.float64)[0]
-        xt, pt, sigma_xt, sigma_pt = pred
-        if not (sigma_xt > 0 and sigma_pt > 0):  # NaN is degenerate too
+        _, _, sigma_xt, sigma_pt = pred
+        try:
+            values = wigner_grid(pred, hbar, axis, axis)
+        except ValueError:  # a width that is not positive, NaN included
             widths = f"sigma_xt={sigma_xt:g}, sigma_pt={sigma_pt:g}"
             error = f"degenerate prediction at hbar={hbar:g}: {widths} (must be positive)"
             results.append(PhaseSpaceResult(hbar=hbar, prediction=pred, error=error))
             continue
-        w = GaussianWigner(center_x=xt, center_p=pt, sigma_x=sigma_xt, sigma_p=sigma_pt, hbar=hbar)
-        values, x_axis, p_axis = wigner_grid(
-            w, spec.grid_min, spec.grid_max, spec.grid_min, spec.grid_max, spec.grid_points
-        )
-        results.append(
-            PhaseSpaceResult(
-                hbar=hbar,
-                prediction=pred,
-                values=values,
-                x_axis=x_axis,
-                p_axis=p_axis,
-                levels=np.linspace(values.min(), values.max(), 20),
-                peak_value=wigner_value(w, xt, pt),
-            )
-        )
+        levels = np.linspace(values.min(), values.max(), 20)
+        results.append(PhaseSpaceResult(hbar=hbar, prediction=pred, values=values, axis=axis,
+                                        levels=levels, peak_value=1.0 / (np.pi * hbar)))
     return results
 
 
@@ -242,7 +230,6 @@ def convergence_report(
         max_rel_err=max_rel,
         median_rel_err=median_rel,
         n_in_range=int(np.sum(in_range)),
-        n_degenerate=sweep.n_degenerate,
         extrapolation_decreasing=decreasing,
     )
 
@@ -256,7 +243,8 @@ def save_sweep(result: SweepResult, path: str | os.PathLike) -> None:
 def save_phase_space(result: PhaseSpaceResult, path: str | os.PathLike) -> None:
     """Plot-ready grid CSV: metadata header block, then the value matrix.
 
-    Row i of the matrix corresponds to p_axis[i], column j to x_axis[j].
+    Row i of the matrix corresponds to momentum axis[i], column j to position
+    axis[j]; the x and p bounds are the same.
     """
     if result.error is not None:
         raise ValueError(result.error)
@@ -267,10 +255,10 @@ def save_phase_space(result: PhaseSpaceResult, path: str | os.PathLike) -> None:
         ("# pt_pred", [pt]),
         ("# sigma_xt_pred", [sigma_xt]),
         ("# sigma_pt_pred", [sigma_pt]),
-        ("# x_min", [result.x_axis[0]]),
-        ("# x_max", [result.x_axis[-1]]),
-        ("# p_min", [result.p_axis[0]]),
-        ("# p_max", [result.p_axis[-1]]),
+        ("# x_min", [result.axis[0]]),
+        ("# x_max", [result.axis[-1]]),
+        ("# p_min", [result.axis[0]]),
+        ("# p_max", [result.axis[-1]]),
         f"# n {result.values.shape[0]}",
         ("# levels", result.levels),
     ]

@@ -3,7 +3,9 @@
 For H = p^2/(2m) + (1/2) m omega^2 x^2 a Gaussian wave packet stays Gaussian,
 so its Wigner function is a separable 2-D Gaussian at all times and the state
 is captured by four numbers: the packet center (x(t), p(t)) and the widths
-(sigma_x(t), sigma_p(t)).  The center follows the classical rotation
+(sigma_x(t), sigma_p(t)), the (xt, pt, sigma_xt, sigma_pt) row that evolve_batch
+returns and wigner_grid evaluates on phase space.  The center follows the
+classical rotation
 
     x(t) = x0 cos(omega t) + (p0 / (m omega)) sin(omega t)
     p(t) = p0 cos(omega t) - m omega x0 sin(omega t)
@@ -100,33 +102,6 @@ class OscillatorConfig:
         check_domain(*((k, k, v) for k, v in vars(self).items()))
 
 
-@dataclass
-class GaussianWigner:
-    """Separable Gaussian Wigner function on phase space.
-
-    W(x, p) = 1/(pi hbar) exp(-(x - center_x)^2 / (2 sigma_x^2)
-                              -(p - center_p)^2 / (2 sigma_p^2))
-
-    The value at the center is 1/(pi hbar); the function integrates to
-    2 sigma_x sigma_p / hbar, which is 1 exactly at minimum uncertainty
-    (sigma_x sigma_p = hbar / 2).
-    """
-
-    center_x: float
-    center_p: float
-    sigma_x: float
-    sigma_p: float
-    hbar: float
-
-    def __post_init__(self):
-        if not self.sigma_x > 0:
-            raise ValueError(f"sigma_x must be positive, got {self.sigma_x}")
-        if not self.sigma_p > 0:
-            raise ValueError(f"sigma_p must be positive, got {self.sigma_p}")
-        if not self.hbar > 0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
-
-
 def evolve_batch(cfg: OscillatorConfig, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized evolve over an (N, 4) matrix of (x0, p0, sigma_x0, hbar) rows.
 
@@ -168,36 +143,20 @@ def evolve_batch(cfg: OscillatorConfig, inputs: np.ndarray) -> tuple[np.ndarray,
     return targets, clamped
 
 
-def wigner_value(w: GaussianWigner, x, p):
-    """Evaluate W at (x, p); accepts scalars or broadcastable arrays."""
-    ex = (np.asarray(x, dtype=np.float64) - w.center_x) ** 2 / (2.0 * w.sigma_x**2)
-    ep = (np.asarray(p, dtype=np.float64) - w.center_p) ** 2 / (2.0 * w.sigma_p**2)
-    val = np.exp(-ex - ep) / (np.pi * w.hbar)
-    if np.ndim(val) == 0:
-        return float(val)
-    return val
+def wigner_grid(state, hbar: float, x_axis: np.ndarray, p_axis: np.ndarray) -> np.ndarray:
+    """The Wigner function of the (xt, pt, sigma_xt, sigma_pt) state row at hbar,
+    as values[i, j] = W(x_axis[j], p_axis[i]): rows run over momentum, columns
+    over position, the usual meshgrid orientation for contour plotting.
 
+    W(x, p) = 1/(pi hbar) exp(-(x - xt)^2 / (2 sigma_xt^2) - (p - pt)^2 / (2 sigma_pt^2))
 
-def wigner_grid(
-    w: GaussianWigner,
-    x_min: float,
-    x_max: float,
-    p_min: float,
-    p_max: float,
-    n: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluate W on an n-by-n uniform grid.
-
-    Returns (values, x_axis, p_axis) where values[i, j] = W(x_axis[j],
-    p_axis[i]): rows run over momentum, columns over position, matching the
-    usual meshgrid orientation for contour plotting.
+    The value at the center is 1/(pi hbar); the function integrates to
+    2 sigma_xt sigma_pt / hbar, which is 1 exactly at minimum uncertainty.
     """
-    check_domain(("n", "grid_points", n))
-    if not x_min < x_max:
-        raise ValueError(f"x_min must be below x_max, got [{x_min}, {x_max}]")
-    if not p_min < p_max:
-        raise ValueError(f"p_min must be below p_max, got [{p_min}, {p_max}]")
-    x_axis = np.linspace(x_min, x_max, n)
-    p_axis = np.linspace(p_min, p_max, n)
-    values = wigner_value(w, x_axis[np.newaxis, :], p_axis[:, np.newaxis])
-    return values, x_axis, p_axis
+    xt, pt, sigma_xt, sigma_pt = state
+    for name, value in (("sigma_xt", sigma_xt), ("sigma_pt", sigma_pt), ("hbar", hbar)):
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
+    ex = (np.reshape(x_axis, (1, -1)) - xt) ** 2 / (2.0 * sigma_xt**2)
+    ep = (np.reshape(p_axis, (-1, 1)) - pt) ** 2 / (2.0 * sigma_pt**2)
+    return np.exp(-ex - ep) / (np.pi * hbar)

@@ -39,12 +39,7 @@ from wignernet.network import (
     load_model,
     save_model,
 )
-from wignernet.oscillator import (
-    GaussianWigner,
-    OscillatorConfig,
-    evolve_batch,
-    wigner_grid,
-)
+from wignernet.oscillator import OscillatorConfig, evolve_batch, wigner_grid
 from wignernet.data import save_dataset
 
 
@@ -144,10 +139,9 @@ class TestCriterion2:
         worst_marginal = 0.0
         for x0, p0, sigma_x, hbar in [(1.0, 0.0, 1.0, 1.0), (0.4, -0.7, 1.3, 0.05), (-2.0, 3.0, 0.6, 0.31)]:
             sigma_p = hbar / (2.0 * sigma_x)
-            w = GaussianWigner(x0, p0, sigma_x, sigma_p, hbar)
-            vals, xs, ps = wigner_grid(
-                w, x0 - 8 * sigma_x, x0 + 8 * sigma_x, p0 - 8 * sigma_p, p0 + 8 * sigma_p, 400
-            )
+            xs = np.linspace(x0 - 8 * sigma_x, x0 + 8 * sigma_x, 400)
+            ps = np.linspace(p0 - 8 * sigma_p, p0 + 8 * sigma_p, 400)
+            vals = wigner_grid((x0, p0, sigma_x, sigma_p), hbar, xs, ps)
             mass = np.trapezoid(np.trapezoid(vals, xs, axis=1), ps)
             worst_mass = max(worst_mass, abs(mass - 1.0))
             marginal = vals.sum(axis=0) * (ps[1] - ps[0])

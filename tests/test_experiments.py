@@ -124,8 +124,8 @@ class TestPhaseSpaceGrids:
         assert res.error is None
         # Maximum node is the grid point nearest the evolved center.
         i, j = np.unravel_index(np.argmax(res.values), res.values.shape)
-        assert res.x_axis[j] == pytest.approx(res.prediction[0], abs=10.01 / 99)
-        assert res.p_axis[i] == pytest.approx(res.prediction[1], abs=10.01 / 99)
+        assert res.axis[j] == pytest.approx(res.prediction[0], abs=10.01 / 99)
+        assert res.axis[i] == pytest.approx(res.prediction[1], abs=10.01 / 99)
         # Center value is exactly 1/(pi hbar); the nearest node is within 2%.
         assert res.peak_value == pytest.approx(1.0 / math.pi, rel=1e-12)
         assert res.values[i, j] == pytest.approx(1.0 / math.pi, rel=0.02)
@@ -146,6 +146,18 @@ class TestPhaseSpaceGrids:
         assert peaks[0.1] == pytest.approx(10.0 * peaks[1.0], rel=1e-9)
         for hbar, peak in peaks.items():
             assert peak == pytest.approx(1.0 / (math.pi * hbar), rel=1e-12)
+
+    def test_oracle_grid_mass_is_the_evolved_width_product(self):
+        """The stock grids hold the whole Gaussian, so each integrates to
+        2 sigma_xt sigma_pt / hbar: above 1 where the evolved packet is wider than
+        minimum uncertainty, by more at smaller hbar (paper mode's excess mass)."""
+        results = phase_space_grids(ORACLE, PhaseSpaceSpec())
+        expected = {1.0: 1.4367, 0.1: 12.508, 0.01: 124.90}
+        for res in results:
+            mass = np.trapezoid(np.trapezoid(res.values, res.axis, axis=1), res.axis)
+            _, _, sigma_xt, sigma_pt = res.prediction
+            assert mass == pytest.approx(2.0 * sigma_xt * sigma_pt / res.hbar, rel=1e-12)
+            assert mass == pytest.approx(expected[res.hbar], rel=1e-4)
 
     def test_degenerate_width_reported_per_hbar(self):
         for row in [(0.0, 0.0, -0.5, 0.5), (math.nan,) * 4]:  # a NaN width is no width either
@@ -170,7 +182,7 @@ class TestConvergenceReport:
         assert report.max_rel_err == 0.0
         assert report.median_rel_err == 0.0
         assert report.n_in_range == 50
-        assert report.n_degenerate == 0
+        assert hbar_sweep(ORACLE, SweepSpec(), STOCK).n_degenerate == 0
         assert report.extrapolation_decreasing
 
     def test_constant_model_does_not_localize(self):
@@ -192,12 +204,11 @@ class TestConvergenceReport:
             assert report.n_in_range == 1, lo
 
     def test_degenerate_rows_excluded(self):
-        report = sweep_report(
-            constant_predictor((0.0, 0.0, -1.0, 1.0)), trained_hbar_log10_range=(-6.0, 0.0)
-        )
+        predict = constant_predictor((0.0, 0.0, -1.0, 1.0))
+        report = sweep_report(predict, trained_hbar_log10_range=(-6.0, 0.0))
         assert report.n_in_range == 0
         assert math.isnan(report.max_rel_err)
-        assert report.n_degenerate == 50
+        assert hbar_sweep(predict, SweepSpec(), STOCK).n_degenerate == 50
 
 
 class TestCsvOutputs:

@@ -8,13 +8,7 @@ import numpy as np
 import pytest
 
 from rk4 import classical_rk4
-from wignernet.oscillator import (
-    GaussianWigner,
-    OscillatorConfig,
-    evolve_batch,
-    wigner_grid,
-    wigner_value,
-)
+from wignernet.oscillator import OscillatorConfig, evolve_batch, wigner_grid
 
 CFG = OscillatorConfig(m=1.0, omega=1.0, t=5.0)
 PROBE = (1.0, 0.0, 1.0, 1.0)  # (x0, p0, sigma_x0, hbar)
@@ -31,6 +25,18 @@ def evolve_one(cfg, x0, p0, sigma_x0, hbar):
     """One state as a one-row batch: its (xt, pt, sigma_xt, sigma_pt) row and clamp flag."""
     targets, clamped = evolve_batch(cfg, np.array([[x0, p0, sigma_x0, hbar]]))
     return targets[0], bool(clamped[0])
+
+
+def wigner_at(state, hbar, x, p):
+    """W of the (xt, pt, sigma_xt, sigma_pt) state row at the one point (x, p)."""
+    return wigner_grid(state, hbar, np.array([x]), np.array([p]))[0, 0]
+
+
+def box_axes(state, n):
+    """n-point position and momentum axes over +-8 widths around the state's center."""
+    xt, pt, sigma_xt, sigma_pt = state
+    return (np.linspace(xt - 8 * sigma_xt, xt + 8 * sigma_xt, n),
+            np.linspace(pt - 8 * sigma_pt, pt + 8 * sigma_pt, n))
 
 
 def random_states(rng, n):
@@ -62,16 +68,17 @@ class TestDomainTypes:
             evolve_one(CFG, 0.0, 0.0, 1.0, 0.0)
 
     def test_wigner_rejects_nonpositive_parameters(self):
-        for bad in [dict(sigma_x=0.0), dict(sigma_p=-1.0), dict(hbar=0.0)]:
-            kwargs = dict(center_x=0.0, center_p=0.0, sigma_x=1.0, sigma_p=1.0, hbar=1.0)
-            kwargs.update(bad)
-            with pytest.raises(ValueError):
-                GaussianWigner(**kwargs)
+        axis = np.linspace(-1.0, 1.0, 3)
+        for state, hbar, name in [((0.0, 0.0, 0.0, 1.0), 1.0, "sigma_xt"),
+                                  ((0.0, 0.0, 1.0, -1.0), 1.0, "sigma_pt"),
+                                  ((0.0, 0.0, 1.0, 1.0), 0.0, "hbar")]:
+            with pytest.raises(ValueError, match=f"^{name} must be positive"):
+                wigner_grid(state, hbar, axis, axis)
 
     def test_wigner_center_value_is_inverse_pi_hbar(self):
         for hbar in (1.0, 0.1, 0.01):
-            w = GaussianWigner(0.3, -0.2, 0.7, 1.1, hbar)
-            assert wigner_value(w, 0.3, -0.2) == pytest.approx(1.0 / (math.pi * hbar), rel=1e-14)
+            center = wigner_at((0.3, -0.2, 0.7, 1.1), hbar, 0.3, -0.2)
+            assert center == pytest.approx(1.0 / (math.pi * hbar), rel=1e-14)
 
 
 class TestSigmaP0:
@@ -212,21 +219,19 @@ class TestEvolveBatch:
 
 class TestWignerValue:
     def test_center_value(self):
-        w = GaussianWigner(0.0, 0.0, 1.0, 1.0, 1.0)
-        assert wigner_value(w, 0.0, 0.0) == pytest.approx(1.0 / math.pi, rel=1e-14)
+        assert wigner_at((0.0, 0.0, 1.0, 1.0), 1.0, 0.0, 0.0) == pytest.approx(1.0 / math.pi, rel=1e-14)
 
     def test_unit_offset(self):
-        w = GaussianWigner(0.0, 0.0, 1.0, 1.0, 1.0)
         expected = math.exp(-0.5) / math.pi
-        assert wigner_value(w, 1.0, 0.0) == pytest.approx(expected, rel=1e-14)
+        assert wigner_at((0.0, 0.0, 1.0, 1.0), 1.0, 1.0, 0.0) == pytest.approx(expected, rel=1e-14)
 
     def test_positive_and_peaked_at_center(self):
         rng = np.random.default_rng(6)
-        w = GaussianWigner(0.5, -1.0, 0.8, 1.3, 0.3)
-        center = wigner_value(w, 0.5, -1.0)
+        state = (0.5, -1.0, 0.8, 1.3)
+        center = wigner_at(state, 0.3, 0.5, -1.0)
         for _ in range(100):
             x, p = rng.uniform(-5, 5, 2)
-            v = wigner_value(w, x, p)
+            v = wigner_at(state, 0.3, x, p)
             assert v > 0.0
             assert v <= center
 
@@ -234,93 +239,79 @@ class TestWignerValue:
         """Trapezoid quadrature over +-8 sigma reproduces the closed-form integral."""
         rng = np.random.default_rng(7)
         for _ in range(10):
-            w = GaussianWigner(
-                center_x=rng.uniform(-1, 1),
-                center_p=rng.uniform(-1, 1),
-                sigma_x=rng.uniform(0.5, 2.0),
-                sigma_p=rng.uniform(0.5, 2.0),
-                hbar=10.0 ** rng.uniform(-2, 0),
-            )
-            vals, xs, ps = wigner_grid(
-                w,
-                w.center_x - 8 * w.sigma_x,
-                w.center_x + 8 * w.sigma_x,
-                w.center_p - 8 * w.sigma_p,
-                w.center_p + 8 * w.sigma_p,
-                400,
-            )
+            state = (*rng.uniform(-1, 1, 2), *rng.uniform(0.5, 2.0, 2))
+            hbar = 10.0 ** rng.uniform(-2, 0)
+            xs, ps = box_axes(state, 400)
+            vals = wigner_grid(state, hbar, xs, ps)
             mass = np.trapezoid(np.trapezoid(vals, xs, axis=1), ps)
-            assert mass == pytest.approx(2.0 * w.sigma_x * w.sigma_p / w.hbar, rel=1e-9)
+            assert mass == pytest.approx(2.0 * state[2] * state[3] / hbar, rel=1e-9)
+
+    @pytest.mark.parametrize("t", [0.0, 0.3, 1.0, 2.0, 5.0, 40.0])
+    def test_evolved_rows_mass_is_two_sigma_product_over_hbar(self, t):
+        """So too for evolved rows, which need not be at minimum uncertainty."""
+        inputs = random_states(np.random.default_rng(12), 8)
+        targets, _ = evolve_batch(OscillatorConfig(t=t), inputs)
+        for state, hbar in zip(targets, inputs[:, 3]):
+            xs, ps = box_axes(state, 400)
+            vals = wigner_grid(state, hbar, xs, ps)
+            mass = np.trapezoid(np.trapezoid(vals, xs, axis=1), ps)
+            assert mass == pytest.approx(2.0 * state[2] * state[3] / hbar, rel=1e-9)
 
 
 class TestWignerGrid:
     def test_two_point_grid_matches_pointwise_values(self):
-        w = GaussianWigner(0.0, 0.0, 1.0, 1.0, 1.0)
-        vals, xs, ps = wigner_grid(w, 0.0, 1.0, 0.0, 1.0, 2)
+        axis = np.array([0.0, 1.0])
+        vals = wigner_grid((0.0, 0.0, 1.0, 1.0), 1.0, axis, axis)
         assert vals.shape == (2, 2)
-        for i, p in enumerate(ps):
-            for j, x in enumerate(xs):
-                assert vals[i, j] == pytest.approx(wigner_value(w, x, p), rel=1e-14)
+        for i, p in enumerate(axis):
+            for j, x in enumerate(axis):
+                assert vals[i, j] == pytest.approx(math.exp(-(x * x + p * p) / 2) / math.pi, rel=1e-14)
 
     def test_rejects_degenerate_inputs(self):
-        w = GaussianWigner(0.0, 0.0, 1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            wigner_grid(w, -1, 1, -1, 1, 1)
-        with pytest.raises(ValueError):
-            wigner_grid(w, 1, -1, -1, 1, 10)
-        with pytest.raises(ValueError):
-            wigner_grid(w, -1, 1, 1, -1, 10)
+        """A NaN width or hbar is no Gaussian: `not > 0` rejects it with the rest."""
+        axis = np.linspace(-1.0, 1.0, 10)
+        for state, hbar in [((0.0, 0.0, math.nan, 1.0), 1.0),
+                            ((0.0, 0.0, 1.0, math.nan), 1.0),
+                            ((0.0, 0.0, 1.0, 1.0), math.nan)]:
+            with pytest.raises(ValueError, match="must be positive, got nan"):
+                wigner_grid(state, hbar, axis, axis)
 
     def test_argmax_is_node_nearest_evolved_center(self):
         """100-point grid over [-10,10]^2 peaks at the node closest to (x(t), p(t))."""
-        (xt, pt, sigma_xt, sigma_pt), _ = evolve_one(CFG, *PROBE)
+        state, _ = evolve_one(CFG, *PROBE)
         hbar = PROBE[3]
-        w = GaussianWigner(xt, pt, sigma_xt, sigma_pt, hbar)
-        vals, xs, ps = wigner_grid(w, -10, 10, -10, 10, 100)
+        axis = np.linspace(-10, 10, 100)
+        vals = wigner_grid(state, hbar, axis, axis)
         i, j = np.unravel_index(np.argmax(vals), vals.shape)
-        assert j == np.argmin(np.abs(xs - xt))
-        assert i == np.argmin(np.abs(ps - pt))
+        assert j == np.argmin(np.abs(axis - state[0]))
+        assert i == np.argmin(np.abs(axis - state[1]))
         # Grid-node peak sits within one cell of the true center, so within 2%.
         assert vals[i, j] == pytest.approx(1.0 / (math.pi * hbar), rel=0.02)
 
     def test_argmax_nearest_center_random(self):
         rng = np.random.default_rng(8)
+        axis = np.linspace(-10, 10, 73)
         for _ in range(25):
-            w = GaussianWigner(
-                center_x=rng.uniform(-8, 8),
-                center_p=rng.uniform(-8, 8),
-                sigma_x=rng.uniform(0.3, 2.0),
-                sigma_p=rng.uniform(0.3, 2.0),
-                hbar=1.0,
-            )
-            vals, xs, ps = wigner_grid(w, -10, 10, -10, 10, 73)
+            state = (*rng.uniform(-8, 8, 2), *rng.uniform(0.3, 2.0, 2))
+            vals = wigner_grid(state, 1.0, axis, axis)
             i, j = np.unravel_index(np.argmax(vals), vals.shape)
-            assert j == np.argmin(np.abs(xs - w.center_x))
-            assert i == np.argmin(np.abs(ps - w.center_p))
+            assert j == np.argmin(np.abs(axis - state[0]))
+            assert i == np.argmin(np.abs(axis - state[1]))
 
     def test_centered_grid_is_symmetric(self):
-        w = GaussianWigner(0.0, 0.0, 0.9, 1.4, 0.5)
-        vals, _, _ = wigner_grid(w, -3, 3, -3, 3, 21)
-        n = vals.shape[0]
+        axis = np.linspace(-3, 3, 21)
+        vals = wigner_grid((0.0, 0.0, 0.9, 1.4), 0.5, axis, axis)
         assert np.allclose(vals, vals[::-1, ::-1], rtol=1e-13)
 
     def test_momentum_marginal_is_position_gaussian(self):
         """Summing over p (times dp) gives the 1-D position density at min uncertainty."""
         x0, p0, sigma_x0, hbar = 0.4, -0.7, 1.1, 0.8
-        w = GaussianWigner(x0, p0, sigma_x0, hbar / (2.0 * sigma_x0), hbar)
-        vals, xs, ps = wigner_grid(
-            w,
-            x0 - 8 * w.sigma_x,
-            x0 + 8 * w.sigma_x,
-            p0 - 8 * w.sigma_p,
-            p0 + 8 * w.sigma_p,
-            500,
-        )
+        state = (x0, p0, sigma_x0, hbar / (2.0 * sigma_x0))
+        xs, ps = box_axes(state, 500)
+        vals = wigner_grid(state, hbar, xs, ps)
         dp = ps[1] - ps[0]
         marginal = vals.sum(axis=0) * dp
-        expected = np.exp(-((xs - x0) ** 2) / (2 * w.sigma_x**2)) / math.sqrt(
-            2 * math.pi * w.sigma_x**2
-        )
+        expected = np.exp(-((xs - x0) ** 2) / (2 * sigma_x0**2)) / math.sqrt(2 * math.pi * sigma_x0**2)
         assert np.max(np.abs(marginal - expected)) < 1e-6
 
 
