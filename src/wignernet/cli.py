@@ -14,13 +14,11 @@ and sweep take it from the dataset's `#` lines.  With fixed seeds the whole pipe
 is deterministic: re-running produces byte-identical files.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import reduce
 from pathlib import Path
 
@@ -64,27 +62,7 @@ EVAL_FILE = "eval.txt"
 SWEEP_FILE = "sweep.csv"
 
 
-# The config schema: per JSON section, the RunConfig field that holds it and
-# the dataclass that checks it, whose init fields are the section's keys.
-_SCHEMA = {
-    "oscillator": ("oscillator", OscillatorConfig),
-    "sampling": ("ranges", SamplingRanges),
-    "network": ("arch", ArchitectureSpec),
-    "training": ("train_config", TrainConfig),
-    "sweep": ("sweep_spec", SweepSpec),
-    "phasespace": ("phasespace_spec", PhaseSpaceSpec),
-}
 _DATA_WIDTHS = {"input_dim", "output_dim"}  # ArchitectureSpec's, set by the data, not the config
-
-# The keys no dataclass holds: per key, its RunConfig field, its default and
-# its least value (None for a key that is not a count or a seed).
-_UNHELD = {
-    "dataset.n_samples": ("n_samples", 10000, _MIN_ROWS),
-    "dataset.seed": ("data_seed", 42, 0),
-    "dataset.split_seed": ("split_seed", 7, 0),
-    "network.init_seed": ("init_seed", 1, 0),
-    "out_dir": ("out_dir", "runs/default", None),
-}
 
 # Each setting flag: the config key it overrides and the commands that take it.
 # Its value has the type of that key's default.
@@ -102,18 +80,18 @@ _FLAGS = {
 
 
 def default_config() -> dict:
-    """The full JSON config at its defaults: each dataclass's, then _UNHELD's."""
-    cfg = {s: {f.name: _to_json(f.default) for f in _settings(owner)}
-           for s, (_, owner) in _SCHEMA.items()}
-    for key, (_, default, _) in _UNHELD.items():
-        *sections, name = key.split(".")
+    """The full JSON config at its defaults, RunConfig's keys in field order."""
+    cfg = {}
+    for f in fields(RunConfig):
+        *sections, name = f.metadata["key"].split(".")
+        default = _defaults(f.type) if is_dataclass(f.type) else f.default
         reduce(lambda node, section: node.setdefault(section, {}), sections, cfg)[name] = default
     return cfg
 
 
-def _settings(owner) -> list:
-    """The fields of config dataclass `owner` that are keys of its section."""
-    return [f for f in fields(owner) if f.init and f.name not in _DATA_WIDTHS]
+def _defaults(owner) -> dict:
+    """The keys of config dataclass `owner`'s section, with their defaults as JSON values."""
+    return {f.name: _to_json(f.default) for f in fields(owner) if f.init and f.name not in _DATA_WIDTHS}
 
 
 def _to_json(value):
@@ -154,21 +132,32 @@ _JSON_TYPES = {
 }
 
 
-@dataclass
-class RunConfig:
-    """Typed view of the merged JSON config."""
+def _key(name: str, default=MISSING, least=None):
+    """A RunConfig field that is the JSON section or key `name`."""
+    return field(default=default, metadata={"key": name, "least": least})
 
-    oscillator: OscillatorConfig
-    ranges: SamplingRanges
-    n_samples: int
-    data_seed: int
-    split_seed: int
-    arch: ArchitectureSpec
-    init_seed: int
-    train_config: TrainConfig
-    sweep_spec: SweepSpec
-    phasespace_spec: PhaseSpaceSpec
-    out_dir: Path
+
+@dataclass(kw_only=True)
+class RunConfig:
+    """Typed view of the merged JSON config, and the one declaration of its keys.
+
+    Each field names its JSON key.  A field whose type is a config dataclass is a
+    section, and the section's keys are that class's init fields (less
+    _DATA_WIDTHS), with their defaults.  Every other field is one dotted key, with
+    its default and, for a count or a seed, its least value.
+    """
+
+    oscillator: OscillatorConfig = _key("oscillator")
+    ranges: SamplingRanges = _key("sampling")
+    n_samples: int = _key("dataset.n_samples", 10000, least=_MIN_ROWS)
+    data_seed: int = _key("dataset.seed", 42, least=0)
+    split_seed: int = _key("dataset.split_seed", 7, least=0)
+    arch: ArchitectureSpec = _key("network")
+    init_seed: int = _key("network.init_seed", 1, least=0)
+    train_config: TrainConfig = _key("training")
+    sweep_spec: SweepSpec = _key("sweep")
+    phasespace_spec: PhaseSpaceSpec = _key("phasespace")
+    out_dir: Path = _key("out_dir", "runs/default")
 
     def __post_init__(self):
         self.out_dir = Path(self.out_dir)
@@ -176,16 +165,17 @@ class RunConfig:
     @classmethod
     def from_dict(cls, cfg: dict) -> "RunConfig":
         attrs = {}
-        for key, (attr, _, least) in _UNHELD.items():
-            attrs[attr] = value = reduce(dict.__getitem__, key.split("."), cfg)
-            if least is not None and value < least:
-                raise ValueError(f"{key} must be >= {least}, got {value}")
-        for section, (attr, owner) in _SCHEMA.items():
-            keys = [f.name for f in _settings(owner)]
+        for f in sorted(fields(cls), key=lambda f: is_dataclass(f.type)):  # keys, then sections
+            key, least, owner = f.metadata["key"], f.metadata["least"], f.type
+            if not is_dataclass(owner):
+                attrs[f.name] = value = reduce(dict.__getitem__, key.split("."), cfg)
+                if least is not None and value < least:
+                    raise ValueError(f"{key} must be >= {least}, got {value}")
+                continue
             try:
-                attrs[attr] = owner(**{k: _from_json(cfg[section][k]) for k in keys})
+                attrs[f.name] = owner(**{k: _from_json(cfg[key][k]) for k in _defaults(owner)})
             except ValueError as exc:  # its message starts with the key
-                raise ValueError(f"{section}.{exc}") from None
+                raise ValueError(f"{key}.{exc}") from None
         return cls(**attrs)
 
 

@@ -30,8 +30,8 @@ _MIN_ROWS = 10  # the fewest rows that split 80/10/10 with no split empty
 
 
 
-class DatasetFormatError(ValueError):
-    """Raised when a dataset or split file does not match the expected layout."""
+class FormatError(ValueError):
+    """Raised when a dataset, split or model file does not match the layout it was written in."""
 
 
 def _write_text(path: str | os.PathLike, head, rows=()) -> None:
@@ -69,16 +69,15 @@ class _TextReader:
     """Reads the lines of a file written by _write_text back, in the written order.
 
     Head lines are `label v1 v2 ...`; floats must be finite and integers
-    whole.  Every failure raises the reader's error class with the path and
-    the 1-based line.
+    whole.  Every failure raises FormatError with the path and the 1-based line.
     """
 
-    def __init__(self, path: str | os.PathLike, error: type[ValueError], lines: list[str]):
-        self.path, self.error, self.lines, self.pos = path, error, lines, 0  # pos: lines read
+    def __init__(self, path: str | os.PathLike, lines: list[str]):
+        self.path, self.lines, self.pos = path, lines, 0  # pos: lines read
 
     def fail(self, message: str, lineno: int | None = None) -> NoReturn:
         """Raise for line `lineno`, by default the last line read."""
-        raise self.error(f"{self.path}: line {lineno or self.pos}: {message}")
+        raise FormatError(f"{self.path}: line {lineno or self.pos}: {message}")
 
     def line(self, expected: str | None = None) -> str:
         """The next line, which must equal `expected` when one is given."""
@@ -131,11 +130,11 @@ class _TextReader:
 
     @contextmanager
     def group(self):
-        """Raise a ValueError from the block as the reader's error, naming its first line."""
+        """Raise a ValueError from the block as a FormatError, naming its first line."""
         first = self.pos + 1
         try:
             yield
-        except self.error:
+        except FormatError:
             raise
         except ValueError as exc:
             self.fail(str(exc), first)
@@ -281,7 +280,7 @@ def _read_header(path: str | os.PathLike, head_only: bool = False):
     osc_keys, range_keys = ([f.name for f in fields(c)] for c in (OscillatorConfig, SamplingRanges))
     head_lines = len(osc_keys) + 1 + len(range_keys) + 1  # + seed and CSV_HEADER
     lines = _read_lines(path, head_lines + 1 if head_only else None)
-    reader = _TextReader(path, DatasetFormatError, lines)
+    reader = _TextReader(path, lines)
     if len(reader.lines) <= head_lines:
         reader.fail("no data rows", len(reader.lines) + 1)
     osc, ranges = {}, {}
@@ -321,7 +320,7 @@ def load_splits(path: str | os.PathLike) -> SplitIndices:
     Rows must list the indices 0, 1, 2, ... in order, one each, so that no
     row can sit in two splits; any other index is reported with its line.
     """
-    reader = _TextReader(path, DatasetFormatError, _read_lines(path))
+    reader = _TextReader(path, _read_lines(path))
     reader.line(SPLIT_HEADER)
     index, label = reader.rows(2, object).T  # the cells' text
     members = [label == name for name in _SPLIT_LABELS]

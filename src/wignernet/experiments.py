@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import SamplingRanges, _write_text
+from .data import CSV_HEADER, SamplingRanges, _write_text
 from .oscillator import OscillatorConfig, check_domain, evolve_batch, wigner_grid
 
 Predictor = Callable[[np.ndarray], np.ndarray]
@@ -179,15 +179,19 @@ def phase_space_grids(predict: Predictor, spec: PhaseSpaceSpec) -> list[PhaseSpa
     """
     inputs = spec._state_rows(np.array(spec.hbar_values, dtype=np.float64))
     axis = np.linspace(spec.grid_min, spec.grid_max, spec.grid_points)
+    names = CSV_HEADER.split(",")[4:]  # the prediction's: xt, pt, sigma_xt, sigma_pt
     results = []
     for k, hbar in enumerate(spec.hbar_values):  # (1, 4) batches: a wider one may move last bits
         pred = np.asarray(predict(inputs[k : k + 1]), dtype=np.float64)[0]
-        _, _, sigma_xt, sigma_pt = pred
         try:
             values = wigner_grid(pred, hbar, axis, axis)
-        except ValueError:  # a width that is not positive, NaN included
-            widths = f"sigma_xt={sigma_xt:g}, sigma_pt={sigma_pt:g}"
-            error = f"degenerate prediction at hbar={hbar:g}: {widths} (must be positive)"
+        except ValueError:
+            if pred[2] > 0 and pred[3] > 0:  # then a center or a width is infinite or NaN
+                shown, rule = zip(names, pred), "finite"
+            else:  # a width that is not positive, NaN included
+                shown, rule = zip(names[2:], pred[2:]), "positive"
+            listed = ", ".join(f"{name}={value:g}" for name, value in shown)
+            error = f"degenerate prediction at hbar={hbar:g}: {listed} (must be {rule})"
             results.append(PhaseSpaceResult(hbar=hbar, prediction=pred, error=error))
             continue
         levels = np.linspace(values.min(), values.max(), 20)

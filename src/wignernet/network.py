@@ -54,10 +54,6 @@ INFER_TILE_ROWS = 1024
 _scratch = threading.local()
 
 
-class ModelFormatError(ValueError):
-    """Raised when a model file cannot be parsed."""
-
-
 @dataclass
 class ArchitectureSpec:
     """Layer widths; the defaults give 4-128-256-256-128-4."""
@@ -378,12 +374,12 @@ def load_model(path) -> MlpModel:
 
     The text lines must be those save_model writes for their architecture, momentum
     and epsilon equal in value, and exactly n finite values must follow `state <n>`;
-    anything else raises ModelFormatError naming the line.
+    anything else raises FormatError naming the line.
     """
     with open(path, "rb") as fh:  # the nine text lines, each up to its newline, then the state
         head, payload = [fh.readline() for _ in range(9)], fh.read()
     lines = [line.decode("utf-8", "replace").rstrip("\r\n") for line in head if line]
-    reader = _TextReader(path, ModelFormatError, lines)
+    reader = _TextReader(path, lines)
     reader.line(MODEL_FILE_MAGIC)
     with reader.group():
         spec = ArchitectureSpec(

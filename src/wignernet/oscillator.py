@@ -152,11 +152,15 @@ def wigner_grid(state, hbar: float, x_axis: np.ndarray, p_axis: np.ndarray) -> n
 
     The value at the center is 1/(pi hbar); the function integrates to
     2 sigma_xt sigma_pt / hbar, which is 1 exactly at minimum uncertainty.
+    Every parameter must be finite, and the widths and hbar positive.
     """
     xt, pt, sigma_xt, sigma_pt = state
     for name, value in (("sigma_xt", sigma_xt), ("sigma_pt", sigma_pt), ("hbar", hbar)):
         if not value > 0:
             raise ValueError(f"{name} must be positive, got {value}")
+    for name, value in zip(("xt", "pt", "sigma_xt", "sigma_pt", "hbar"), (*state, hbar)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     ex = (np.reshape(x_axis, (1, -1)) - xt) ** 2 / (2.0 * sigma_xt**2)
     ep = (np.reshape(p_axis, (-1, 1)) - pt) ** 2 / (2.0 * sigma_pt**2)
     return np.exp(-ex - ep) / (np.pi * hbar)

@@ -87,7 +87,6 @@ def train(
 
     best_val = np.inf
     best_snapshot = None
-    epochs_since_best = 0
 
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(train_idx)
@@ -117,12 +116,9 @@ def train(
         if val_loss < best_val:
             best_val = val_loss
             report.best_epoch = epoch
-            epochs_since_best = 0
             best_snapshot = model.snapshot()
-        else:
-            epochs_since_best += 1
-            if epochs_since_best >= config.patience:
-                break
+        elif epoch - report.best_epoch >= config.patience:  # best_epoch 0: none improved
+            break
 
     if best_snapshot is not None:  # None when no validation loss was a number
         model.restore(best_snapshot)

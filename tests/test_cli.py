@@ -5,13 +5,13 @@ from __future__ import annotations
 import json
 import re
 import warnings
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wignernet.cli import _FLAGS, _UNHELD, build_parser, default_config, main
+from wignernet.cli import _FLAGS, RunConfig, build_parser, default_config, main
 from wignernet.data import SamplingRanges, load_dataset, load_splits
 from wignernet.experiments import PhaseSpaceSpec, SweepSpec
 from wignernet.network import ArchitectureSpec, init_model, save_model
@@ -23,6 +23,17 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def flat(node, prefix=""):
+    """The dotted keys of the leaves of nested dict `node`."""
+    for k, v in node.items():
+        yield from flat(v, f"{prefix}{k}.") if isinstance(v, dict) else [prefix + k]
+
+
+def section_keys(owner):
+    """The names of config dataclass `owner`'s section keys: its init fields but the data widths."""
+    return [f.name for f in fields(owner) if f.init and f.name not in {"input_dim", "output_dim"}]
 
 
 def small_config(tmp_path, **overrides):
@@ -49,24 +60,39 @@ class TestConfig:
         assert json.loads(block) == default_config()
 
     def test_section_keys_are_their_dataclass_fields(self):
-        """Each held section lists exactly its dataclass's init fields, but the data
-        widths; every other key is one of _UNHELD's."""
+        """Each section lists exactly its dataclass's init fields, but the data
+        widths; every other key is a RunConfig field of its own."""
         cfg = default_config()
-        held = {"oscillator": OscillatorConfig, "sampling": SamplingRanges,
-                "network": ArchitectureSpec, "training": TrainConfig, "sweep": SweepSpec,
-                "phasespace": PhaseSpaceSpec}
-        widths = {"input_dim", "output_dim"}
+        sections = {f.metadata["key"]: f.type for f in fields(RunConfig) if is_dataclass(f.type)}
+        assert sections == {"oscillator": OscillatorConfig, "sampling": SamplingRanges,
+                            "network": ArchitectureSpec, "training": TrainConfig,
+                            "sweep": SweepSpec, "phasespace": PhaseSpaceSpec}
+        own = {f.metadata["key"] for f in fields(RunConfig) if not is_dataclass(f.type)}
+        assert own == {"dataset.n_samples", "dataset.seed", "dataset.split_seed",
+                       "network.init_seed", "out_dir"}
         keys = set()
-        for section, owner in held.items():
-            names = [f.name for f in fields(owner) if f.init and f.name not in widths]
-            assert [k for k in cfg[section] if f"{section}.{k}" not in _UNHELD] == names
+        for section, owner in sections.items():
+            names = section_keys(owner)
+            assert [k for k in cfg[section] if f"{section}.{k}" not in own] == names
             keys |= {f"{section}.{name}" for name in names}
+        assert set(flat(cfg)) - keys == own
 
-        def flat(node, prefix=""):
-            for k, v in node.items():
-                yield from flat(v, f"{prefix}{k}.") if isinstance(v, dict) else [prefix + k]
+    def test_one_leaf_per_declared_key(self):
+        """No key field lands on a section's key or on another key field."""
+        declared = [len(section_keys(f.type)) if is_dataclass(f.type) else 1
+                    for f in fields(RunConfig)]
+        assert len(list(flat(default_config()))) == sum(declared)
 
-        assert set(flat(cfg)) - keys == set(_UNHELD)
+    def test_default_config_reads_back_as_the_stock_run(self):
+        """Compared by repr, which shows each init field and leaves out the derived
+        arrays (SweepSpec.hbar_values), whose == is elementwise."""
+        rc = RunConfig.from_dict(default_config())
+        stock = {"oscillator": OscillatorConfig(), "ranges": SamplingRanges(), "n_samples": 10000,
+                 "data_seed": 42, "split_seed": 7, "arch": ArchitectureSpec(), "init_seed": 1,
+                 "train_config": TrainConfig(), "sweep_spec": SweepSpec(),
+                 "phasespace_spec": PhaseSpaceSpec(), "out_dir": Path("runs/default")}
+        assert {f.name: repr(getattr(rc, f.name)) for f in fields(rc)} == {
+            name: repr(value) for name, value in stock.items()}
 
     def test_readme_domain_table_is_the_domain(self):
         """Each row's interval is oscillator.DOMAIN's for the quantity of each key in it."""

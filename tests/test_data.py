@@ -12,7 +12,7 @@ import pytest
 from wignernet.data import (
     CSV_HEADER,
     Dataset,
-    DatasetFormatError,
+    FormatError,
     SamplingRanges,
     SplitIndices,
     _read_header,
@@ -221,7 +221,7 @@ class TestDatasetRoundTrip:
         lines = path.read_text().splitlines()
         lines[10] = lines[10].rsplit(",", 1)[0]  # drop a column on the second data row
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetFormatError, match="line 11"):
+        with pytest.raises(FormatError, match="line 11"):
             load_dataset(path)
 
     def test_non_numeric_cell_names_line(self, tmp_path):
@@ -233,7 +233,7 @@ class TestDatasetRoundTrip:
         cells[3] = "bogus"
         lines[9] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetFormatError, match="line 10"):
+        with pytest.raises(FormatError, match="line 10"):
             load_dataset(path)
 
     @pytest.mark.parametrize(
@@ -249,7 +249,7 @@ class TestDatasetRoundTrip:
         cells[column] = value
         lines[lineno - 1] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetFormatError, match=f"line {lineno}: non-finite"):
+        with pytest.raises(FormatError, match=f"line {lineno}: non-finite"):
             load_dataset(path)
 
     @pytest.mark.parametrize(
@@ -291,7 +291,7 @@ class TestDatasetRoundTrip:
         text = path.read_text()
         assert old in text
         path.write_text(text.replace(old, new, 1))
-        with pytest.raises(DatasetFormatError, match=f"line {lineno}: ") as excinfo:
+        with pytest.raises(FormatError, match=f"line {lineno}: ") as excinfo:
             load_dataset(path)
         assert str(path) in str(excinfo.value)
 
@@ -310,7 +310,7 @@ class TestDatasetRoundTrip:
     def test_empty_file_raises_distinct_error(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
-        with pytest.raises(DatasetFormatError) as excinfo:
+        with pytest.raises(FormatError) as excinfo:
             load_dataset(path)
         assert str(excinfo.value) == f"{path}: line 1: no data rows"
 
@@ -320,7 +320,7 @@ class TestDatasetRoundTrip:
         save_dataset(ds, path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:9]) + "\n")  # metadata + header, no rows
-        with pytest.raises(DatasetFormatError) as excinfo:
+        with pytest.raises(FormatError) as excinfo:
             load_dataset(path)
         assert str(excinfo.value) == f"{path}: line 10: no data rows"
 
@@ -336,7 +336,7 @@ class TestDatasetRoundTrip:
         assert reader.lines == lines[:10] and reader.pos == 9
         assert (cfg, seed, ranges) == (ds.config, ds.seed, ds.ranges)
         path.write_text("\n".join(lines[:9]) + "\n")
-        with pytest.raises(DatasetFormatError) as excinfo:
+        with pytest.raises(FormatError) as excinfo:
             _read_header(path, head_only=True)
         assert str(excinfo.value) == f"{path}: line 10: no data rows"
 
@@ -365,7 +365,7 @@ class TestDatasetRoundTrip:
         path = tmp_path / "ds.csv"
         save_dataset(self.make_dataset(n=5), path)
         self.set_cell(path, 12, column, value)
-        with pytest.raises(DatasetFormatError) as excinfo:
+        with pytest.raises(FormatError) as excinfo:
             load_dataset(path)
         name = CSV_HEADER.split(",")[column]
         assert str(excinfo.value) == f"{path}: line 12: {name} {value} is outside {bound}"
@@ -386,7 +386,7 @@ class TestDatasetRoundTrip:
         assert np.array_equal(load_dataset(path).inputs, inputs)
         below = math.nextafter(lo, 0.0)
         self.set_cell(path, 10, 3, below)
-        with pytest.raises(DatasetFormatError) as excinfo:
+        with pytest.raises(FormatError) as excinfo:
             load_dataset(path)
         assert f"{lo:g}" != repr(lo) and f"{hi:g}" != repr(hi)
         message = f"line 10: hbar {below} is outside [{lo!r}, {hi!r}]"
@@ -414,7 +414,7 @@ class TestDatasetRoundTrip:
         lines = path.read_text().splitlines()
         lines[8] = "a,b,c,d,e,f,g,h"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DatasetFormatError, match="header"):
+        with pytest.raises(FormatError, match="header"):
             load_dataset(path)
 
 
@@ -448,20 +448,20 @@ class TestSplitRoundTrip:
     def test_bad_label_rejected(self, tmp_path):
         path = tmp_path / "splits.csv"
         path.write_text("index,split\n0,train\n1,bogus\n")
-        with pytest.raises(DatasetFormatError, match="line 3"):
+        with pytest.raises(FormatError, match="line 3"):
             load_splits(path)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "splits.csv"
         path.write_text("0,train\n")
-        with pytest.raises(DatasetFormatError):
+        with pytest.raises(FormatError):
             load_splits(path)
 
     @pytest.mark.parametrize("row, count", [("1,train,x", 3), ("1", 1)])
     def test_wrong_cell_count_names_line(self, tmp_path, row, count):
         path = tmp_path / "splits.csv"
         path.write_text(f"index,split\n0,train\n{row}\n2,test\n")
-        with pytest.raises(DatasetFormatError) as excinfo:
+        with pytest.raises(FormatError) as excinfo:
             load_splits(path)
         message = f"line 3: expected 2 comma-separated values, got {count}"
         assert str(excinfo.value) == f"{path}: {message}"
@@ -478,7 +478,7 @@ class TestSplitRoundTrip:
         named, whichever of its index or its label is at fault."""
         path = tmp_path / "splits.csv"
         path.write_text("\n".join(["index,split", *rows]) + "\n")
-        with pytest.raises(DatasetFormatError) as excinfo:
+        with pytest.raises(FormatError) as excinfo:
             load_splits(path)
         k = lineno - 2
         message = f"expected index {k} and a split in ('train', 'val', 'test'), got {rows[k]!r}"
@@ -489,7 +489,7 @@ class TestSplitRoundTrip:
         path = tmp_path / "splits.csv"
         save_splits(split_indices(10, seed=0), path)
         path.write_text(path.read_text() + row + "\n")
-        with pytest.raises(DatasetFormatError, match="line 12: expected index 10"):
+        with pytest.raises(FormatError, match="line 12: expected index 10"):
             load_splits(path)
 
 

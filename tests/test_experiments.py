@@ -160,7 +160,8 @@ class TestPhaseSpaceGrids:
             assert mass == pytest.approx(expected[res.hbar], rel=1e-4)
 
     def test_degenerate_width_reported_per_hbar(self):
-        for row in [(0.0, 0.0, -0.5, 0.5), (math.nan,) * 4]:  # a NaN width is no width either
+        for row in [(0.0, 0.0, -0.5, 0.5), (math.nan,) * 4,  # a NaN width is no width either
+                    (math.nan, 0, 1, 1), (math.inf, 0, 1, 1), (0, 0, math.inf, 1)]:
             results = phase_space_grids(constant_predictor(row), PhaseSpaceSpec())
             assert all(res.error is not None for res in results)
             assert all(res.values is None for res in results)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gradcheck import grad_check
+from wignernet.data import FormatError
 from wignernet.network import (
     INFER_TILE_ROWS,
     Adam,
@@ -24,7 +25,6 @@ from wignernet.network import (
     BatchNormLayer,
     DenseLayer,
     MlpModel,
-    ModelFormatError,
     backward,
     init_model,
     load_model,
@@ -701,7 +701,7 @@ class TestSerialization:
         save_model(self.trained_ish_model(), path)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 8])
-        with pytest.raises(ModelFormatError) as excinfo:
+        with pytest.raises(FormatError) as excinfo:
             load_model(path)
         expected = "line 9: expected 1424 bytes of state after it, got 1416"
         assert str(excinfo.value) == f"{path}: {expected}"
@@ -709,7 +709,7 @@ class TestSerialization:
     def test_unknown_version_rejected(self, tmp_path):
         """A v1 file, the text format before this one, fails on its first line."""
         path = self.edited_file(tmp_path, "wignernet model v2\n", "wignernet model v1\n")
-        with pytest.raises(ModelFormatError) as excinfo:
+        with pytest.raises(FormatError) as excinfo:
             load_model(path)
         expected = "line 1: expected 'wignernet model v2', got 'wignernet model v1'"
         assert str(excinfo.value) == f"{path}: {expected}"
@@ -755,7 +755,7 @@ class TestSerialization:
     )
     def test_malformed_line_is_named(self, tmp_path, old, new, lineno):
         path = self.edited_file(tmp_path, old, new)
-        with pytest.raises(ModelFormatError, match=f"line {lineno}: ") as excinfo:
+        with pytest.raises(FormatError, match=f"line {lineno}: ") as excinfo:
             load_model(path)
         assert str(path) in str(excinfo.value)
 
@@ -763,7 +763,7 @@ class TestSerialization:
     def test_batchnorm_line_must_read_1(self, tmp_path, value):
         """Every hidden block has batchnorm, so line 5 is always `batchnorm 1`."""
         path = self.edited_file(tmp_path, "batchnorm 1\n", f"batchnorm {value}\n")
-        with pytest.raises(ModelFormatError) as excinfo:
+        with pytest.raises(FormatError) as excinfo:
             load_model(path)
         expected = f"line 5: expected 'batchnorm 1', got 'batchnorm {value}'"
         assert str(excinfo.value) == f"{path}: {expected}"
@@ -771,7 +771,7 @@ class TestSerialization:
     @pytest.mark.parametrize("count", ["177", "179", "0178"])
     def test_state_count_must_match_the_spec(self, tmp_path, count):
         path = self.edited_file(tmp_path, "state 178\n", f"state {count}\n")
-        with pytest.raises(ModelFormatError) as excinfo:
+        with pytest.raises(FormatError) as excinfo:
             load_model(path)
         assert str(excinfo.value) == f"{path}: line 9: expected 'state 178', got 'state {count}'"
 
@@ -785,7 +785,7 @@ class TestSerialization:
         start = len(data) - 8 * (178 - index)
         data[start : start + 8] = struct.pack("<d", value)
         path.write_bytes(bytes(data))
-        with pytest.raises(ModelFormatError) as excinfo:
+        with pytest.raises(FormatError) as excinfo:
             load_model(path)
         assert str(excinfo.value) == f"{path}: line 9: non-finite value at state[{index}]"
 
@@ -794,13 +794,13 @@ class TestSerialization:
         line = {"momentum": ("momentum 0.98999999999999999\n", 7), "epsilon": ("epsilon 0.001\n", 8)}
         old, lineno = line[label]
         path = self.edited_file(tmp_path, old, f"{label} {value}\n")
-        with pytest.raises(ModelFormatError) as excinfo:
+        with pytest.raises(FormatError) as excinfo:
             load_model(path)
         assert str(excinfo.value) == f"{path}: line {lineno}: non-finite value"
 
     def test_header_and_tensor_disagreement_rejected(self, tmp_path):
         path = self.edited_file(tmp_path, "hidden_dims 8 6\n", "hidden_dims 16 6\n")
-        with pytest.raises(ModelFormatError) as excinfo:  # the stored state is still 8 wide
+        with pytest.raises(FormatError) as excinfo:  # the stored state is still 8 wide
             load_model(path)
         expected = "line 9: expected 'state 298', got 'state 178'"
         assert str(excinfo.value) == f"{path}: {expected}"

@@ -276,6 +276,15 @@ class TestWignerGrid:
             with pytest.raises(ValueError, match="must be positive, got nan"):
                 wigner_grid(state, hbar, axis, axis)
 
+    def test_rejects_non_finite_center_and_width(self):
+        """An infinite center or width would give an all-zero grid, a NaN center an all-NaN one."""
+        axis = np.linspace(-1.0, 1.0, 10)
+        for state, name in [((math.nan, 0.0, 1.0, 1.0), "xt"), ((0.0, -math.inf, 1.0, 1.0), "pt"),
+                            ((0.0, 0.0, math.inf, 1.0), "sigma_xt"),
+                            ((0.0, 0.0, 1.0, math.inf), "sigma_pt")]:
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+                wigner_grid(state, 1.0, axis, axis)
+
     def test_argmax_is_node_nearest_evolved_center(self):
         """100-point grid over [-10,10]^2 peaks at the node closest to (x(t), p(t))."""
         state, _ = evolve_one(CFG, *PROBE)

@@ -1,12 +1,17 @@
 """Code that only tests use belongs in tests/: every module-level function and
 class of the package, and every public method of those classes, is used by the
-package itself, by perfbench or by pyproject.toml."""
+package itself, by perfbench or by pyproject.toml.  The version is written once,
+in the package."""
 
 from __future__ import annotations
 
 import ast
 import re
 from pathlib import Path
+
+import pytest
+
+import wignernet
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "wignernet"
@@ -76,3 +81,14 @@ TARGETS = ("network.Layer.forward", "not a name: Layer")
     used = references(source)
     assert definitions(source) == ["wigner_value", "wigner_grid", "Layer", "forward"]
     assert [name for name in definitions(source) if name not in used] == ["wigner_value"]
+
+
+def test_pyproject_takes_the_version_from_the_package():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        pyproject = tomllib.load(fh)
+    assert "version" not in pyproject["project"]
+    assert "version" in pyproject["project"]["dynamic"]
+    assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "wignernet.__version__"}
+    assert re.fullmatch(r"\d+\.\d+\.\d+", wignernet.__version__)
+    assert wignernet.__version__ not in (ROOT / "pyproject.toml").read_text()
