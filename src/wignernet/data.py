@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from itertools import chain, islice
 from typing import NoReturn
 
 import numpy as np
@@ -27,7 +28,7 @@ CSV_HEADER = "x0,p0,sigma_x0,hbar,xt,pt,sigma_xt,sigma_pt"
 SPLIT_HEADER = "index,split"
 _SPLIT_LABELS = ("train", "val", "test")
 _MIN_ROWS = 10  # the fewest rows that split 80/10/10 with no split empty
-
+_BLOCK_ROWS = 256  # rows per % call: the block's text and operands stay a small share of the file
 
 
 class FormatError(ValueError):
@@ -37,26 +38,25 @@ class FormatError(ValueError):
 def _write_text(path: str | os.PathLike, head, rows=()) -> None:
     """Write a text file: the head lines, then the rows, each newline-terminated.
 
-    A head line is a string, written as it is, or a (label, values) pair,
-    written as the label and the values joined by spaces.  A row is a sequence
-    of values joined by commas.  Values are written with 17 significant
-    digits, which round-trips 64-bit floats exactly: one `%.17g` call per
-    line, the same conversion and bytes as f"{v:.17g}" per value.
+    A head line is a string, written as it is, or a (label, values) pair, written as the label and the
+    values joined by spaces.  A row is a sequence of values joined by commas, all of one width.  Values
+    are written with 17 significant digits, which round-trips 64-bit floats exactly: one `%` call per
+    head line and per block of rows, the same `%.17g` conversion and bytes as f"{v:.17g}" per value.
     """
-
-    def fields(values) -> tuple:  # as Python numbers, the operand of one % call
-        return tuple(values.tolist() if isinstance(values, np.ndarray) else values)
-
     with open(path, "w", encoding="utf-8") as fh:
         for line in head:
             if not isinstance(line, str):
                 label, values = line
-                values = fields(values)
+                values = tuple(values.tolist() if isinstance(values, np.ndarray) else values)
                 line = label + (" %.17g" * len(values)) % values
             fh.write(line + "\n")
-        for row in rows:
-            row = fields(row)
-            fh.write(",".join(["%.17g"] * len(row)) % row + "\n")
+        if isinstance(rows, np.ndarray):  # a 2-D array, as Python numbers a block at a time
+            parts = np.split(rows, range(_BLOCK_ROWS, len(rows), _BLOCK_ROWS))
+            rows = chain.from_iterable(part.tolist() for part in parts)
+        rows = iter(rows)
+        for block in iter(lambda: list(islice(rows, _BLOCK_ROWS)), []):
+            (width,) = set(map(len, block))  # ValueError for rows of different widths
+            fh.write((",".join(["%.17g"] * width) + "\n") * len(block) % tuple(chain.from_iterable(block)))
 
 
 def _read_lines(path: str | os.PathLike, limit: int | None = None) -> list[str]:

@@ -307,6 +307,18 @@ class TestDatasetRoundTrip:
             tracemalloc.stop()
         assert peak < 4 * path.stat().st_size
 
+    def test_save_peak_memory_is_below_the_file(self, tmp_path):
+        """The body is formatted a block of rows at a time: no text of the whole file at once."""
+        path = tmp_path / "ds.csv"
+        ds = self.make_dataset(n=10_000)
+        tracemalloc.start()
+        try:
+            save_dataset(ds, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
+
     def test_empty_file_raises_distinct_error(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
@@ -559,3 +571,25 @@ class TestWriteText:
         model.state[:] = np.random.default_rng(4).standard_normal(model.state.size)
         lines = [("t", row) for tensor in model.state_arrays() for row in np.atleast_2d(tensor)]
         self.assert_same_bytes(tmp_path, lines)
+
+    @pytest.mark.parametrize("width", [1, 8])
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 1023, 1024, 1025, 2049])
+    def test_bodies_across_block_boundaries(self, tmp_path, n, width):
+        """Random doubles as a 2-D array, as zipped columns and as generated rows of Python
+        floats, ints and numpy scalars: each side of a block boundary, for blocks of 256 rows
+        (and of any power of two up to 1024 rows)."""
+        values = np.random.default_rng(n).integers(0, 2**64, (n, width), dtype=np.uint64).view(np.float64)
+        self.assert_same_bytes(tmp_path, ["h"], lambda: values)
+        self.assert_same_bytes(tmp_path, ["h"], lambda: zip(*values.T))
+
+        def mixed():  # each row's cells start at a further one of the five forms
+            for i, row in enumerate(values.tolist()):
+                cells = [i, np.int64(-i), 2**53 + i, np.float32(1 / (i + 3)), np.float64(row[-1]), *row]
+                yield cells[i % 5 :][:width]
+
+        self.assert_same_bytes(tmp_path, ["h"], mixed)
+
+    def test_rows_of_different_widths_raise(self, tmp_path):
+        """Two rows of one and three cells are not formatted as two of two."""
+        with pytest.raises(ValueError):
+            _write_text(tmp_path / "a.txt", [], [(1.0,), (2.0, 3.0, 4.0)])
