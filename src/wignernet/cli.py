@@ -18,14 +18,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
 from .data import (
-    CSV_HEADER,
     SamplingRanges,
     _MIN_ROWS,
     _read_header,
@@ -50,7 +49,7 @@ from .experiments import (
     save_sweep,
 )
 from .network import ArchitectureSpec, init_model, load_model, save_model
-from .oscillator import OscillatorConfig
+from .oscillator import INPUTS, OscillatorConfig
 from .training import TrainConfig, evaluate, save_report, train
 
 DATASET_FILE = "dataset.csv"
@@ -232,14 +231,13 @@ def cmd_generate(args) -> int:
     save_splits(splits, rc.out_dir / SPLITS_FILE)
 
     clamp_rate = float(np.mean(ds.clamped))
-    _, _, sigma_xt, sigma_pt = ds.targets.T
-    below = float(np.mean(sigma_xt * sigma_pt < ds.inputs[:, 3] / 2))  # the labels' own widths
+    below = float(np.mean(ds.targets[:, 2] * ds.targets[:, 3] < ds.inputs[:, 3] / 2))  # the labels' widths
     print(f"wrote {rc.out_dir / DATASET_FILE} ({rc.n_samples} rows) and {rc.out_dir / SPLITS_FILE}")
     print(
         f"splits: train {splits.train.size}, val {splits.validation.size}, "
         f"test {splits.test.size}"
     )
-    for name, col in zip(CSV_HEADER.split(","), ds.inputs.T):  # zip stops after the inputs
+    for name, col in zip(INPUTS, ds.inputs.T):
         print(f"  {name}: min {col.min():.6g}, max {col.max():.6g}")
     print(f"negative-variance clamp rate: {clamp_rate:.6g}")
     print(f"share of rows below the uncertainty bound (sigma_xt*sigma_pt < hbar/2): {below:.6g}")
@@ -249,7 +247,8 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     rc = _load_run_config(args)
     ds, splits = _load_data(args, rc)
-    model, report = train(init_model(rc.arch, rc.init_seed), ds, splits, rc.train_config)
+    arch = replace(rc.arch, input_dim=ds.inputs.shape[1], output_dim=ds.targets.shape[1])
+    model, report = train(init_model(arch, rc.init_seed), ds, splits, rc.train_config)
     save_model(model, rc.out_dir / MODEL_FILE)
     save_report(report, rc.out_dir / HISTORY_FILE, rc.out_dir / SUMMARY_FILE)
 

@@ -1,10 +1,11 @@
 """Sampling, labeling, splitting, and CSV persistence of evolution datasets.
 
-A dataset row pairs an input (x0, p0, sigma_x0, hbar) with the closed-form
-evolved target (xt, pt, sigma_xt, sigma_pt).  x0, p0, sigma_x0 are drawn
-uniformly from their intervals; hbar is drawn log-uniformly (10^u with u
-uniform over an interval of log10 values) so that small hbar values are
-actually represented when the range spans several decades.  Everything is
+A dataset row pairs an input, oscillator.INPUTS (x0, p0, sigma_x0, hbar), with
+the closed-form evolved target, oscillator.STATE (xt, pt, sigma_xt, sigma_pt);
+the CSV header and the widths of the two matrices are theirs.  x0, p0 and
+sigma_x0 are drawn uniformly from their intervals; hbar is drawn log-uniformly
+(10^u with u uniform over an interval of log10 values) so that small hbar
+values are actually represented when the range spans several decades.  Everything is
 deterministic given the seed, and targets are regenerable from inputs plus
 the oscillator settings.
 
@@ -22,9 +23,9 @@ from typing import NoReturn
 
 import numpy as np
 
-from .oscillator import OscillatorConfig, _outside, check_domain, evolve_batch
+from .oscillator import INPUTS, STATE, OscillatorConfig, _outside, check_domain, evolve_batch
 
-CSV_HEADER = "x0,p0,sigma_x0,hbar,xt,pt,sigma_xt,sigma_pt"
+CSV_HEADER = ",".join(INPUTS + STATE)
 SPLIT_HEADER = "index,split"
 _SPLIT_LABELS = ("train", "val", "test")
 _MIN_ROWS = 10  # the fewest rows that split 80/10/10 with no split empty
@@ -42,14 +43,17 @@ def _write_text(path: str | os.PathLike, head, rows=()) -> None:
     values joined by spaces.  A row is a sequence of values joined by commas, all of one width.  Values
     are written with 17 significant digits, which round-trips 64-bit floats exactly: one `%` call per
     head line and per block of rows, the same `%.17g` conversion and bytes as f"{v:.17g}" per value.
+    The head lines are joined and written at once, and each block of rows with one write.
     """
+    lines = []
+    for line in head:
+        if not isinstance(line, str):
+            label, values = line
+            values = tuple(values.tolist() if isinstance(values, np.ndarray) else values)
+            line = label + (" %.17g" * len(values)) % values
+        lines.append(line)
     with open(path, "w", encoding="utf-8") as fh:
-        for line in head:
-            if not isinstance(line, str):
-                label, values = line
-                values = tuple(values.tolist() if isinstance(values, np.ndarray) else values)
-                line = label + (" %.17g" * len(values)) % values
-            fh.write(line + "\n")
+        fh.write("\n".join([*lines, ""]))  # each line newline-terminated, nothing for no lines
         if isinstance(rows, np.ndarray):  # a 2-D array, as Python numbers a block at a time
             parts = np.split(rows, range(_BLOCK_ROWS, len(rows), _BLOCK_ROWS))
             rows = chain.from_iterable(part.tolist() for part in parts)
@@ -257,20 +261,18 @@ def load_dataset(path: str | os.PathLike) -> Dataset:
     """
     reader, cfg, seed, ranges = _read_header(path)
     first = reader.pos + 1
-    data = reader.rows(8)
-    inputs = data[:, :4]
+    inputs, targets = np.hsplit(reader.rows(len(INPUTS + STATE)), [len(INPUTS)])
     outside = _first_outside(inputs, ranges)
     if outside:
         reader.fail(outside[1], first + outside[0])
-    return Dataset(inputs=inputs, targets=data[:, 4:], config=cfg, seed=seed, ranges=ranges)
+    return Dataset(inputs=inputs, targets=targets, config=cfg, seed=seed, ranges=ranges)
 
 
 def _first_outside(inputs: np.ndarray, ranges: SamplingRanges) -> tuple[int, str] | None:
     """(row, message) of the earliest input cell outside `ranges`, hbar's being ranges.hbar."""
-    names = CSV_HEADER.split(",")[:4]  # the inputs: x0, p0, sigma_x0 and hbar
-    lo, hi = np.array([getattr(ranges, name) for name in names]).T
+    lo, hi = np.array([getattr(ranges, name) for name in INPUTS]).T
     for row, col in np.argwhere(~((lo <= inputs) & (inputs <= hi)))[:1]:  # row-major: earliest
-        return int(row), _outside(names[col], inputs[row, col], lo[col], hi[col])
+        return int(row), _outside(INPUTS[col], inputs[row, col], lo[col], hi[col])
     return None
 
 
@@ -301,17 +303,18 @@ def save_splits(splits: SplitIndices, path: str | os.PathLike) -> None:
     """Write the split CSV (`index,split`), one row per dataset row, by index.  Splits
     that do not hold each of 0..n-1 once, n being their total size, which load_splits
     would not read back as they are, raise ValueError naming the first index at fault."""
-    parts = (splits.train, splits.validation, splits.test)
-    labels = {}  # index -> its split's label, or None once it is listed twice
-    for name, idx in zip(_SPLIT_LABELS, parts):
-        for i in np.asarray(idx).tolist():
-            labels[i] = None if i in labels else name
-    n = sum(len(p) for p in parts)
-    k = next((k for k in range(n) if labels.get(k) is None), None)
-    if k is not None:
-        where = "in no split" if k not in labels else "listed more than once"
+    parts = [np.asarray(p, dtype=np.int64) for p in (splits.train, splits.validation, splits.test)]
+    every = np.concatenate(parts)
+    n = every.size
+    counts = np.bincount(every[(every >= 0) & (every < n)], minlength=n)  # those outside 0..n-1 left out
+    if np.any(counts != 1):
+        k = int(np.argmax(counts != 1))
+        where = "in no split" if counts[k] == 0 else "listed more than once"
         raise ValueError(f"splits must hold each of 0..{n - 1} once; {k} is {where}")
-    _write_text(path, [SPLIT_HEADER, *(f"{i},{labels[i]}" for i in range(n))])
+    labels = np.empty(n, dtype=object)
+    for name, idx in zip(_SPLIT_LABELS, parts):
+        labels[idx] = name
+    _write_text(path, [SPLIT_HEADER, *(f"{i},{label}" for i, label in enumerate(labels.tolist()))])
 
 
 def load_splits(path: str | os.PathLike) -> SplitIndices:

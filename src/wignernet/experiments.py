@@ -1,8 +1,9 @@
 """Emulator-versus-analytic experiments: the hbar sweep of sigma_x(t) and the
 phase-space localization grids, plus summary error metrics.
 
-A predictor is any callable mapping an (N, 4) input matrix of
-(x0, p0, sigma_x0, hbar) rows to an (N, 4) matrix of evolved parameters; both
+A predictor is any callable mapping an input matrix of oscillator.INPUTS rows,
+(x0, p0, sigma_x0, hbar), to a matrix of oscillator.STATE rows, the evolved
+parameters (xt, pt, sigma_xt, sigma_pt); both
 a trained network and the exact closed form (oracle_predictor) qualify, so
 every experiment has a built-in zero-error baseline.
 
@@ -20,8 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .data import CSV_HEADER, SamplingRanges, _write_text
-from .oscillator import OscillatorConfig, check_domain, evolve_batch, wigner_grid
+from .data import SamplingRanges, _write_text
+from .oscillator import INPUTS, STATE, OscillatorConfig, check_domain, evolve_batch, wigner_grid
 
 Predictor = Callable[[np.ndarray], np.ndarray]
 
@@ -39,11 +40,10 @@ class _InitialPacket:
 
     def _state_rows(self, hbars: np.ndarray) -> np.ndarray:
         """The initial state at each hbar, as predictor input rows."""
-        inputs = np.empty((hbars.size, 4))
-        inputs[:, 0] = self.x0
-        inputs[:, 1] = self.p0
-        inputs[:, 2] = self.sigma_x0
-        inputs[:, 3] = hbars
+        columns = {**vars(self), "hbar": hbars}
+        inputs = np.empty((hbars.size, len(INPUTS)))
+        for k, name in enumerate(INPUTS):
+            inputs[:, k] = columns[name]
         return inputs
 
 
@@ -64,7 +64,7 @@ class SweepSpec(_InitialPacket):
         super().__post_init__()
         check_domain(("hbar_log10_min", "hbar_log10", lo), ("hbar_log10_max", "hbar_log10", hi))
         self.hbar_values = np.logspace(lo, hi, n)
-        if np.any(np.diff(self.hbar_values) <= 0):
+        if lo > hi or np.any(np.diff(self.hbar_values) <= 0):
             raise ValueError(f"hbar_log10_min {lo} to max {hi} must give {n} ascending hbar values")
 
 
@@ -179,17 +179,16 @@ def phase_space_grids(predict: Predictor, spec: PhaseSpaceSpec) -> list[PhaseSpa
     """
     inputs = spec._state_rows(np.array(spec.hbar_values, dtype=np.float64))
     axis = np.linspace(spec.grid_min, spec.grid_max, spec.grid_points)
-    names = CSV_HEADER.split(",")[4:]  # the prediction's: xt, pt, sigma_xt, sigma_pt
     results = []
-    for k, hbar in enumerate(spec.hbar_values):  # (1, 4) batches: a wider one may move last bits
+    for k, hbar in enumerate(spec.hbar_values):  # one-row batches: a larger one may move last bits
         pred = np.asarray(predict(inputs[k : k + 1]), dtype=np.float64)[0]
         try:
             values = wigner_grid(pred, hbar, axis, axis)
         except ValueError:
             if pred[2] > 0 and pred[3] > 0:  # then a center or a width is infinite or NaN
-                shown, rule = zip(names, pred), "finite"
+                shown, rule = zip(STATE, pred), "finite"
             else:  # a width that is not positive, NaN included
-                shown, rule = zip(names[2:], pred[2:]), "positive"
+                shown, rule = zip(STATE[2:], pred[2:]), "positive"
             listed = ", ".join(f"{name}={value:g}" for name, value in shown)
             error = f"degenerate prediction at hbar={hbar:g}: {listed} (must be {rule})"
             results.append(PhaseSpaceResult(hbar=hbar, prediction=pred, error=error))
@@ -252,17 +251,10 @@ def save_phase_space(result: PhaseSpaceResult, path: str | os.PathLike) -> None:
     """
     if result.error is not None:
         raise ValueError(result.error)
-    xt, pt, sigma_xt, sigma_pt = result.prediction
     head = [
         ("# hbar", [result.hbar]),
-        ("# xt_pred", [xt]),
-        ("# pt_pred", [pt]),
-        ("# sigma_xt_pred", [sigma_xt]),
-        ("# sigma_pt_pred", [sigma_pt]),
-        ("# x_min", [result.axis[0]]),
-        ("# x_max", [result.axis[-1]]),
-        ("# p_min", [result.axis[0]]),
-        ("# p_max", [result.axis[-1]]),
+        *((f"# {name}_pred", [value]) for name, value in zip(STATE, result.prediction)),
+        *((f"# {q}_{end}", [result.axis[i]]) for q in "xp" for end, i in (("min", 0), ("max", -1))),
         f"# n {result.values.shape[0]}",
         ("# levels", result.levels),
     ]

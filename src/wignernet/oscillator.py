@@ -4,8 +4,10 @@ For H = p^2/(2m) + (1/2) m omega^2 x^2 a Gaussian wave packet stays Gaussian,
 so its Wigner function is a separable 2-D Gaussian at all times and the state
 is captured by four numbers: the packet center (x(t), p(t)) and the widths
 (sigma_x(t), sigma_p(t)), the (xt, pt, sigma_xt, sigma_pt) row that evolve_batch
-returns and wigner_grid evaluates on phase space.  The center follows the
-classical rotation
+returns and wigner_grid evaluates on phase space.  INPUTS and STATE name the
+columns of evolve_batch's input and output rows, the one statement of the row
+layout that datasets, the network's widths and the experiments take.  The
+center follows the classical rotation
 
     x(t) = x0 cos(omega t) + (p0 / (m omega)) sin(omega t)
     p(t) = p0 cos(omega t) - m omega x0 sin(omega t)
@@ -58,6 +60,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# The columns of an input row, (x0, p0, sigma_x0, hbar), and of the evolved state row.
+INPUTS = ("x0", "p0", "sigma_x0", "hbar")
+STATE = ("xt", "pt", "sigma_xt", "sigma_pt")
+
 # The closed interval of each input quantity, by the name check_domain takes;
 # "grid" bounds both ends of both axes of a phase-space grid, and
 # "grid_points" the number of points along each.
@@ -69,10 +75,10 @@ DOMAIN = {
     "p0": (-1e6, 1e6),
     "sigma_x0": (1e-6, 1e6),
     "hbar_log10": (-12.0, 3.0),
-    "hbar": (1e-12, 1e3),
     "grid": (-1e6, 1e6),
     "grid_points": (2, np.inf),
 }
+DOMAIN["hbar"] = tuple(10.0**b for b in DOMAIN["hbar_log10"])  # (1e-12, 1e3) exactly
 
 
 def check_domain(*entries: tuple[str, str, float]) -> None:
@@ -103,30 +109,26 @@ class OscillatorConfig:
 
 
 def evolve_batch(cfg: OscillatorConfig, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized evolve over an (N, 4) matrix of (x0, p0, sigma_x0, hbar) rows.
+    """Vectorized evolve over a matrix of N INPUTS rows, (x0, p0, sigma_x0, hbar).
 
-    Returns the (N, 4) matrix of (xt, pt, sigma_xt, sigma_pt) rows and an
+    Returns the matrix of N STATE rows, (xt, pt, sigma_xt, sigma_pt), and an
     (N,) boolean vector marking rows whose variance went negative before the
     absolute value.  Rows violating the input invariants raise ValueError
     naming the offending row's 0-based index.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[1] != 4:
-        raise ValueError(f"inputs must be an (N, 4) matrix, got shape {inputs.shape}")
+    if inputs.ndim != 2 or inputs.shape[1] != len(INPUTS):
+        raise ValueError(f"inputs must be an (N, {len(INPUTS)}) matrix, got shape {inputs.shape}")
     if not np.all(np.isfinite(inputs)):
         row = int(np.argwhere(~np.isfinite(inputs).all(axis=1))[0, 0])
         raise ValueError(f"row {row}: non-finite input value")
-    bad_sigma = inputs[:, 2] <= 0
-    if np.any(bad_sigma):
-        row = int(np.argmax(bad_sigma))
-        raise ValueError(f"row {row}: sigma_x0 must be positive, got {inputs[row, 2]}")
-    bad_hbar = inputs[:, 3] <= 0
-    if np.any(bad_hbar):
-        row = int(np.argmax(bad_hbar))
-        raise ValueError(f"row {row}: hbar must be positive, got {inputs[row, 3]}")
+    x0, p0, sx0, hbar = inputs.T
+    for name, column in (("sigma_x0", sx0), ("hbar", hbar)):
+        if np.any(column <= 0):
+            row = int(np.argmax(column <= 0))
+            raise ValueError(f"row {row}: {name} must be positive, got {column[row]}")
 
     m, w, t = cfg.m, cfg.omega, cfg.t
-    x0, p0, sx0, hbar = inputs[:, 0], inputs[:, 1], inputs[:, 2], inputs[:, 3]
     c = np.cos(w * t)
     s = np.sin(w * t)
     xt = x0 * c + (p0 / (m * w)) * s
@@ -158,7 +160,7 @@ def wigner_grid(state, hbar: float, x_axis: np.ndarray, p_axis: np.ndarray) -> n
     for name, value in (("sigma_xt", sigma_xt), ("sigma_pt", sigma_pt), ("hbar", hbar)):
         if not value > 0:
             raise ValueError(f"{name} must be positive, got {value}")
-    for name, value in zip(("xt", "pt", "sigma_xt", "sigma_pt", "hbar"), (*state, hbar)):
+    for name, value in zip((*STATE, "hbar"), (*state, hbar)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
     ex = (np.reshape(x_axis, (1, -1)) - xt) ** 2 / (2.0 * sigma_xt**2)

@@ -20,6 +20,7 @@ import numpy as np
 from .data import Dataset, SplitIndices, _write_text
 from .experiments import Predictor
 from .network import Adam, MlpModel, backward, mse_loss
+from .oscillator import STATE
 
 
 @dataclass
@@ -52,7 +53,7 @@ class TrainReport:
     final_train_loss: float = float("nan")
     final_val_loss: float = float("nan")
     test_loss: float = float("nan")
-    per_output_test_mse: np.ndarray = field(default_factory=lambda: np.full(4, np.nan))
+    per_output_test_mse: np.ndarray = field(default_factory=lambda: np.full(len(STATE), np.nan))
 
 
 def evaluate(predict: Predictor, dataset: Dataset, indices) -> tuple[float, np.ndarray]:

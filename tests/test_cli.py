@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wignernet import cli
 from wignernet.cli import _FLAGS, RunConfig, build_parser, default_config, main
 from wignernet.data import SamplingRanges, load_dataset, load_splits
 from wignernet.experiments import PhaseSpaceSpec, SweepSpec
@@ -441,6 +442,8 @@ class TestGenerate:
           "network.hidden_dims and the in and out widths must be >= 1, got (4, 0, 4)"),
          ({"sweep": {"hbar_log10_min": 0.0, "hbar_log10_max": -6.0}},
           "sweep.hbar_log10_min 0.0 to max -6.0 must give 50 ascending hbar values"),
+         ({"sweep": {"hbar_log10_min": 0, "hbar_log10_max": -1, "n_points": 1}},
+          "sweep.hbar_log10_min 0 to max -1 must give 1 ascending hbar values"),
          ({"dataset": {"seed": -1}}, "dataset.seed must be >= 0, got -1"),
          ({"dataset": {"split_seed": -1}}, "dataset.split_seed must be >= 0, got -1"),
          ({"network": {"init_seed": -1}}, "network.init_seed must be >= 0, got -1"),
@@ -449,7 +452,7 @@ class TestGenerate:
          ({"dataset": {"n_samples": 0}}, "dataset.n_samples must be >= 10, got 0")],
         ids=["inverted-range", "grid-points", "grid-reversed", "n-points", "no-hbar-values",
              "batch-size", "max-epochs", "patience", "learning-rate", "hidden-dims",
-             "sweep-reversed", "seed", "split-seed", "init-seed", "shuffle-seed", "n-samples-5",
+             "sweep-reversed", "sweep-reversed-one-point", "seed", "split-seed", "init-seed", "shuffle-seed", "n-samples-5",
              "n-samples-0"],
     )
     def test_config_check_names_its_json_key(self, tmp_path, capsys, overrides, message):
@@ -500,6 +503,21 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err == "error: training split has 8 rows, below training.batch_size 16\n"
         assert not (tmp_path / "run" / "model.bin").exists()
+
+    def test_network_is_sized_from_the_dataset(self, tmp_path, monkeypatch):
+        """input_dim and output_dim are the dataset's widths, not ArchitectureSpec's defaults."""
+        cfg = small_config(tmp_path)
+        assert run("generate", "--config", cfg) == 0
+
+        def narrowed(path):
+            ds = load_dataset(path)
+            ds.targets = ds.targets[:, :-1]
+            return ds
+
+        monkeypatch.setattr(cli, "load_dataset", narrowed)
+        assert run("train", "--config", cfg, "--max-epochs", 1) == 0
+        head = (tmp_path / "run" / "model.bin").read_bytes().split(b"\n")[:4]
+        assert head[1:4:2] == [b"input_dim 4", b"output_dim 3"]
 
 
 class TestEval:
