@@ -49,7 +49,7 @@ from .experiments import (
     save_sweep,
 )
 from .network import ArchitectureSpec, init_model, load_model, save_model
-from .oscillator import INPUTS, OscillatorConfig
+from .oscillator import INPUTS, STATE, OscillatorConfig
 from .training import TrainConfig, evaluate, save_report, train
 
 DATASET_FILE = "dataset.csv"
@@ -206,10 +206,17 @@ def _load_run_config(args) -> RunConfig:
 
 
 def _resolve_predictor(args, rc: RunConfig, oscillator: OscillatorConfig):
-    """Pick the network or the exact closed form under `oscillator`, per --oracle."""
+    """Pick the network or the exact closed form under `oscillator`, per --oracle.
+    The network must map an INPUTS row to a STATE row."""
     if args.oracle:
         return oracle_predictor(oscillator)
-    return load_model(args.model or rc.out_dir / MODEL_FILE).forward
+    path = args.model or rc.out_dir / MODEL_FILE
+    model = load_model(path)
+    widths = (model.spec.input_dim, model.spec.output_dim)
+    if widths != (len(INPUTS), len(STATE)):
+        raise ValueError(f"{path}: the model maps shape (B, {widths[0]}) to (B, {widths[1]}), "
+                         f"a row needs (B, {len(INPUTS)}) to (B, {len(STATE)})")
+    return model.forward
 
 
 def _load_data(args, rc: RunConfig):

@@ -1,35 +1,27 @@
 """Closed-form phase-space dynamics of Gaussian states in a 1-D harmonic oscillator.
 
-For H = p^2/(2m) + (1/2) m omega^2 x^2 a Gaussian wave packet stays Gaussian,
-so its Wigner function is a separable 2-D Gaussian at all times and the state
-is captured by four numbers: the packet center (x(t), p(t)) and the widths
-(sigma_x(t), sigma_p(t)), the (xt, pt, sigma_xt, sigma_pt) row that evolve_batch
-returns and wigner_grid evaluates on phase space.  INPUTS and STATE name the
-columns of evolve_batch's input and output rows, the one statement of the row
-layout that datasets, the network's widths and the experiments take.  The
-center follows the classical rotation
+For H = p^2/(2m) + (1/2) m omega^2 x^2 a Gaussian wave packet stays Gaussian.  The
+paper takes its Wigner function to stay separable, so the state is four numbers: the
+center (x(t), p(t)) and the widths (sigma_x(t), sigma_p(t)), the STATE row that
+evolve_batch returns and wigner_grid evaluates on phase space.  INPUTS and STATE name
+the columns of evolve_batch's input and output rows, the one statement of the layout.
 
-    x(t) = x0 cos(omega t) + (p0 / (m omega)) sin(omega t)
-    p(t) = p0 cos(omega t) - m omega x0 sin(omega t)
+With c = cos(omega t), s = sin(omega t) and M = [[c, s/(m omega)], [-m omega s, c]],
+the center follows the classical rotation (x(t), p(t)) = M (x0, p0), and the exact
+covariance the same flow, Sigma(t) = M Sigma_0 M^T with Sigma_0 = diag(sigma_x0^2,
+sigma_p0^2) and sigma_p0 = hbar / (2 sigma_x0) (Weedbrook et al., Rev. Mod. Phys.
+84, 621 (2012); Littlejohn, Phys. Rep. 138, 193 (1986)).  The paper's widths, exact
+only for a coherent state, sigma_x0 = sqrt(hbar / (2 m omega)), deviate from it twice:
+(1) sigma_x(t)^2 is Sigma_xx (_exact_var_x) plus a cross term (_paper_cross_term),
+and (2) sigma_p(t) = m omega sigma_x(t), not sqrt(Sigma_pp).
 
-and the position variance evolves as
-
-    sigma_x(t)^2 = sigma_x0^2 cos^2(omega t)
-                   + (sigma_p0^2 / (m omega)^2) sin^2(omega t)
-                   + (hbar / (2 m omega)) sin(2 omega t)
-                     * (sigma_p0 / (m omega sigma_x0) - m omega sigma_x0 / sigma_p0)
-
-with sigma_p0 = hbar / (2 sigma_x0) and sigma_p(t) = m omega sigma_x(t).
-
-The variance expression above is not positive for every input; evaluation
-takes sqrt(|sigma_x(t)^2|) and flags the sign flip (see evolve_batch) rather
-than failing.  A single state is evaluated as a one-row batch.
-
-As hbar -> 0 the width above tends to sigma_x0 sqrt(cos^2(omega t) - sin(2 omega t)),
-0.790 sigma_x0 at omega t = 5, not the classical ensemble's sigma_x0 |cos(omega t)|,
-0.284 sigma_x0.  Nor does the expression keep sigma_x(t) sigma_p(t) >= hbar/2: 35
-of the 10,000 stock rows break it, the least at 0.9685 hbar/2 (cli generate prints
-the share).
+The cross term can make the variance negative; evaluation takes sqrt(|sigma_x(t)^2|)
+and flags the sign flip (see evolve_batch) rather than failing.  As hbar -> 0 it tends
+to -sigma_x0^2 sin(2 omega t), not 0, so the width tends to
+sigma_x0 sqrt(cos^2(omega t) - sin(2 omega t)), 0.790 sigma_x0 at omega t = 5, not the
+classical ensemble's sigma_x0 |cos(omega t)|, 0.284 sigma_x0: the paper's dynamics has
+no classical limit.  Nor do its widths keep sigma_x(t) sigma_p(t) >= hbar/2: 35 of the
+10,000 stock rows break it, the least at 0.9685 hbar/2 (cli generate prints the share).
 
 Everything here is a pure function of its arguments (thread-safe), computed
 in 64-bit floating point, with m = omega = 1 style dimensionless units.
@@ -47,7 +39,7 @@ floor), each term of evolve_batch is at most the product of its factors' extreme
     hbar / (2 m omega)                    <= 5e14
     sigma_p0 / (m omega sigma_x0)         <= 5e26
     m omega sigma_x0 / sigma_p0           <= 2e38
-    the sin(2 omega t) cross term         <= 5e14 * 2e38 = 1e53
+    _paper_cross_term                     <= 5e14 * 2e38 = 1e53
 
 No divisor is below 1e-24 ((m omega)^2).  At the 384 corners of the box, with t
 in {0, 0.3, 1, 2, 5, 1e6}, the output is finite, warning-free and below 6.4e20.
@@ -109,12 +101,13 @@ class OscillatorConfig:
 
 
 def evolve_batch(cfg: OscillatorConfig, inputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized evolve over a matrix of N INPUTS rows, (x0, p0, sigma_x0, hbar).
+    """Evolve a matrix of N INPUTS rows, (x0, p0, sigma_x0, hbar); one state is a one-row batch.
 
-    Returns the matrix of N STATE rows, (xt, pt, sigma_xt, sigma_pt), and an
-    (N,) boolean vector marking rows whose variance went negative before the
-    absolute value.  Rows violating the input invariants raise ValueError
-    naming the offending row's 0-based index.
+    Returns the matrix of N STATE rows, (xt, pt, sigma_xt, sigma_pt), and an (N,)
+    boolean vector marking rows whose variance went negative before the absolute
+    value.  The means are exact; the widths carry the paper's two deviations, its
+    cross term in the variance and sigma_pt = m omega sigma_xt.  Rows violating the
+    input invariants raise ValueError naming the offending row's 0-based index.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != len(INPUTS):
@@ -134,15 +127,24 @@ def evolve_batch(cfg: OscillatorConfig, inputs: np.ndarray) -> tuple[np.ndarray,
     xt = x0 * c + (p0 / (m * w)) * s
     pt = p0 * c - m * w * x0 * s
     sp0 = hbar / (2.0 * sx0)
-    var = (
-        sx0**2 * c**2
-        + (sp0**2 / (m**2 * w**2)) * s**2
-        + (hbar / (2.0 * m * w)) * np.sin(2.0 * w * t) * (sp0 / (m * w * sx0) - m * w * sx0 / sp0)
-    )
+    var = _exact_var_x(cfg, sx0, sp0) + _paper_cross_term(cfg, sx0, sp0, hbar)  # deviation 1
     clamped = var < 0.0
     sigma_xt = np.sqrt(np.abs(var))
-    targets = np.column_stack([xt, pt, sigma_xt, m * w * sigma_xt])
+    targets = np.column_stack([xt, pt, sigma_xt, m * w * sigma_xt])  # deviation 2
     return targets, clamped
+
+
+def _exact_var_x(cfg: OscillatorConfig, sx0, sp0):
+    """Sigma_xx of the exact flow M Sigma_0 M^T: sigma_x0^2 c^2 + sigma_p0^2 s^2 / (m omega)^2."""
+    m, w, t = cfg.m, cfg.omega, cfg.t
+    return sx0**2 * np.cos(w * t) ** 2 + (sp0**2 / (m**2 * w**2)) * np.sin(w * t) ** 2
+
+
+def _paper_cross_term(cfg: OscillatorConfig, sx0, sp0, hbar):
+    """The paper's term in sigma_x(t)^2 beyond the exact flow, its first deviation;
+    0 to rounding for a coherent state, -sigma_x0^2 sin(2 omega t) as hbar -> 0."""
+    m, w, t = cfg.m, cfg.omega, cfg.t
+    return (hbar / (2.0 * m * w)) * np.sin(2.0 * w * t) * (sp0 / (m * w * sx0) - m * w * sx0 / sp0)
 
 
 def wigner_grid(state, hbar: float, x_axis: np.ndarray, p_axis: np.ndarray) -> np.ndarray:

@@ -549,6 +549,27 @@ class TestEval:
         assert "shape (B, 3)" in capsys.readouterr().err
 
 
+class TestModelWidths:
+    @pytest.mark.parametrize("widths", [(4, 3), (3, 4)], ids=["output_dim-3", "input_dim-3"])
+    @pytest.mark.parametrize("command", ["eval", "sweep", "phasespace"])
+    def test_model_off_the_row_layout_fails_naming_its_file(self, tmp_path, capsys, command, widths):
+        """A model whose (input_dim, output_dim) is not the row layout's fails before
+        it predicts, naming its file and both pairs of widths, and writes nothing."""
+        cfg = small_config(tmp_path)
+        assert run("generate", "--config", cfg) == 0
+        path = tmp_path / "odd_model.bin"
+        spec = ArchitectureSpec(input_dim=widths[0], hidden_dims=(8,), output_dim=widths[1])
+        save_model(init_model(spec, 0), path)
+        before = sorted((tmp_path / "run").iterdir())
+        capsys.readouterr()
+        assert run(command, "--config", cfg, "--model", path) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: the model maps shape (B, {widths[0]}) to (B, {widths[1]}), "
+            "a row needs (B, 4) to (B, 4)\n"
+        )
+        assert sorted((tmp_path / "run").iterdir()) == before
+
+
 class TestDatasetMetadata:
     @pytest.mark.parametrize(
         "command, old, new, lineno, message",

@@ -111,6 +111,17 @@ class TestHbarSweep:
         assert np.array_equal(result.sigma_pt_pred, result.sigma_pt_analytical)
         assert result.n_degenerate == 0
 
+    def test_paper_oracle_has_no_classical_limit(self):
+        """q = 1 - sigma_x_cl^2 / sigma_x^2, the share of the width variance hbar adds to
+        the classical ensemble's sigma_x_cl = sigma_x0 |cos(omega t)|, stays above 0.8 over
+        six decades of hbar (0.871 to 0.888): the paper's cross term does not vanish as
+        hbar -> 0.  Documented behaviour of the paper's dynamics, not a bound on the code."""
+        spec = SweepSpec()
+        result = hbar_sweep(ORACLE, spec, STOCK)
+        classical = spec.sigma_x0 * abs(math.cos(STOCK.omega * STOCK.t))
+        q = 1.0 - classical**2 / result.sigma_xt_analytical**2
+        assert q.size == 50 and np.all(q > 0.8)
+
     def test_degenerate_predictions_become_missing_points(self):
         result = hbar_sweep(constant_predictor((0.0, 0.0, -1.0, 1.0)), SweepSpec(), STOCK)
         assert result.n_degenerate == result.hbar.size

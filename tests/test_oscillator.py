@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from rk4 import classical_rk4
-from wignernet.oscillator import OscillatorConfig, evolve_batch, wigner_grid
+from wignernet.data import SamplingRanges, sample_inputs
+from wignernet.oscillator import (
+    OscillatorConfig,
+    _exact_var_x,
+    _paper_cross_term,
+    evolve_batch,
+    wigner_grid,
+)
 
 CFG = OscillatorConfig(m=1.0, omega=1.0, t=5.0)
 PROBE = (1.0, 0.0, 1.0, 1.0)  # (x0, p0, sigma_x0, hbar)
@@ -174,6 +181,71 @@ class TestEvolveWidths:
             )
             (_, _, sigma_xt, sigma_pt), _ = evolve_one(cfg, *random_states(rng, 1)[0])
             assert sigma_pt / sigma_xt == pytest.approx(cfg.m * cfg.omega, rel=1e-12)
+
+
+class TestPaperDeviations:
+    """The paper's variance is the exact flow's Sigma_xx plus its cross term, each
+    checked on its own."""
+
+    @pytest.mark.parametrize("m, w, t", [(1.0, 1.0, 5.0), (2.5, 0.3, 7.1)])
+    def test_exact_term_is_the_integrated_flows(self, m, w, t):
+        """Sigma_xx = M00^2 sigma_x0^2 + M01^2 sigma_p0^2, with the transfer matrix M
+        integrated by RK4 from (1, 0) and from (0, 1), not taken from the closed form."""
+        cfg = OscillatorConfig(m=m, omega=w, t=t)
+        (m00, m01), _ = classical_rk4(cfg, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 10_000)
+        for sx0, hbar in ((a, b) for a in (0.5, 1.0, 2.0) for b in (1e-6, 0.1, 1.0)):
+            sp0 = hbar / (2.0 * sx0)
+            integrated = m00**2 * sx0**2 + m01**2 * sp0**2
+            assert _exact_var_x(cfg, sx0, sp0) == pytest.approx(integrated, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("m, w, t", [(1.0, 1.0, 5.0), (2.5, 0.3, 7.1), (1.0, 1.0, 0.3)])
+    def test_cross_term_is_rounding_for_a_coherent_state(self, m, w, t):
+        """At sigma_x0 = sqrt(hbar / (2 m omega)) the cross term's bracket is 1 - 1, so
+        it is a few roundings of the exact variance, scaled by sin(2 omega t)."""
+        cfg = OscillatorConfig(m=m, omega=w, t=t)
+        hbar = np.logspace(-6, 0, 25)
+        sx0 = np.sqrt(hbar / (2.0 * m * w))
+        sp0 = hbar / (2.0 * sx0)
+        ratio = np.abs(_paper_cross_term(cfg, sx0, sp0, hbar) / _exact_var_x(cfg, sx0, sp0))
+        assert np.all(ratio <= 4.0 * np.finfo(float).eps * abs(math.sin(2.0 * w * t)))
+
+    @pytest.mark.parametrize("m, w, t", [(1.0, 1.0, 5.0), (2.5, 0.3, 7.1), (1.0, 1.0, 0.3)])
+    def test_cross_term_does_not_vanish_as_hbar_goes_to_zero(self, m, w, t):
+        """As hbar -> 0 the cross term tends to -sigma_x0^2 sin(2 omega t), so the paper's
+        variance keeps it where the classical ensemble's has sigma_x0^2 cos^2(omega t) only."""
+        cfg = OscillatorConfig(m=m, omega=w, t=t)
+        sx0, hbar = np.array([0.5, 1.0, 2.0]), 1e-12
+        limit = -(sx0**2) * math.sin(2.0 * w * t)
+        cross = _paper_cross_term(cfg, sx0, hbar / (2.0 * sx0), hbar)
+        assert np.all(np.abs(cross - limit) <= 1e-15 * np.abs(limit))
+
+
+class TestHighPrecisionReference:
+    def test_stock_rows_match_a_50_digit_evaluation(self):
+        """The first 3,000 stock rows against the paper's formula in 50-digit arithmetic:
+        widths within 4 ulp, and means within 2 eps of the size of their terms (xt and pt
+        cancel, so an ulp of the result is no scale for them)."""
+        mpmath = pytest.importorskip("mpmath")
+        rows = sample_inputs(SamplingRanges(), 10_000, 42)[:3000]
+        got, _ = evolve_batch(CFG, rows)
+        mpf = mpmath.mpf
+        err, scale = np.empty_like(got), np.empty_like(got)
+        with mpmath.workdps(50):
+            m, w, t = mpf(CFG.m), mpf(CFG.omega), mpf(CFG.t)
+            c, s, s2 = mpmath.cos(w * t), mpmath.sin(w * t), mpmath.sin(2 * w * t)
+            for k, row in enumerate(rows.tolist()):
+                x0, p0, sx0, hbar = map(mpf, row)
+                sp0 = hbar / (2 * sx0)
+                var = (sx0**2 * c**2 + sp0**2 * s**2 / (m * w) ** 2
+                       + hbar / (2 * m * w) * s2 * (sp0 / (m * w * sx0) - m * w * sx0 / sp0))
+                sigma = mpmath.sqrt(abs(var))
+                ref = (x0 * c + p0 * s / (m * w), p0 * c - m * w * x0 * s, sigma, m * w * sigma)
+                err[k] = [float(abs(mpf(v) - r)) for v, r in zip(got[k].tolist(), ref)]
+                scale[k, :2] = [float(abs(x0 * c) + abs(p0 * s / (m * w))),
+                                float(abs(p0 * c) + abs(m * w * x0 * s))]
+                scale[k, 2:] = np.spacing([float(sigma), float(m * w * sigma)])
+        assert np.all(err[:, :2] <= 2.0 * np.finfo(float).eps * scale[:, :2])
+        assert np.all(err[:, 2:] <= 4.0 * scale[:, 2:])
 
 
 class TestEvolve:
