@@ -8,7 +8,8 @@ training and running statistics at inference:
 
     train:  y = xc * (gamma * inv_std) + beta,  xc = x - mean(x),  inv_std = 1 / sqrt(var(x) + eps)
             running <- momentum * running + (1 - momentum) * batch_stat
-    infer:  y = x * scale + (beta - running_mean * scale),  scale = gamma / sqrt(running_var + eps)
+    infer:  y = x * scale + shift,  scale = gamma / sqrt(running_var + eps),  shift = beta - running_mean * scale,
+            both computed once per set of values of eps, gamma, beta and the running statistics
 
 The train-mode backward takes the two column sums dbeta = sum(dy) and
 dgamma = inv_std * sum(dy * xc), then
@@ -92,6 +93,7 @@ class BatchNormLayer:
     def __init__(self, gamma, beta, running_mean, running_var):
         self.gamma, self.beta = gamma, beta
         self.running_mean, self.running_var = running_mean, running_var
+        self._affine = None  # (key, scale, shift) of forward_infer, replaced whole
 
     def forward_train(self, x: np.ndarray):
         """Normalize by batch statistics and update the running ones; returns (y, (xc, inv_std))."""
@@ -111,10 +113,19 @@ class BatchNormLayer:
 
     def forward_infer(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Normalize with the frozen running statistics into out (x itself, or by default new),
-        as the per-feature affine map x * scale + shift: two passes over x."""
-        scale = self.gamma / np.sqrt(self.running_var + self.epsilon)
+        as the per-feature affine map x * scale + shift: two passes over x.  scale and
+        shift are computed once per set of values, kept under a key of epsilon and the
+        four vectors' bytes: whatever writes a value changes the key.  The key is read
+        before them, so a value written meanwhile misses on the next call."""
+        key = (self.epsilon, self.gamma.tobytes(), self.beta.tobytes(),
+               self.running_mean.tobytes(), self.running_var.tobytes())
+        affine = self._affine
+        if affine is None or affine[0] != key:
+            scale = self.gamma / np.sqrt(self.running_var + self.epsilon)
+            affine = self._affine = (key, scale, self.beta - self.running_mean * scale)
+        _, scale, shift = affine
         y = np.multiply(x, scale, out=out)
-        y += self.beta - self.running_mean * scale
+        y += shift
         return y
 
     def backward(self, dy: np.ndarray, cache, dgamma: np.ndarray, dbeta: np.ndarray) -> np.ndarray:
@@ -172,7 +183,8 @@ class MlpModel:
     every layer over views of `state`; the same walk over `grad` gives the
     gradient views that backward() writes.  Train-mode forwards mutate
     running statistics and must be serialized by the caller; infer-mode
-    forwards are read-only and thread-safe.
+    forwards write no model state and are thread-safe: each batchnorm keeps a
+    memo of its inference affine, replaced whole when its values change.
     """
 
     def __init__(self, spec: ArchitectureSpec, init_seed: int):

@@ -633,6 +633,112 @@ class TestInferencePass:
         for expected, outputs in zip(serial, found):
             assert len(outputs) == 10 and all(np.array_equal(y, expected) for y in outputs)
 
+    def test_threads_forwarding_at_once_on_a_cold_memo_match_the_serial_results(
+        self, stock_trained_model, tmp_path
+    ):
+        """A freshly loaded model has computed no batchnorm affine yet: threads that
+        forward it at once, each at its own batch size, race to fill the memos, and
+        every output still equals the serial one from another loaded copy.  Twenty
+        fresh loads, since a race shows only on some of them."""
+        path = tmp_path / "model.bin"
+        save_model(stock_trained_model, path)
+        sizes = (1, 2, 64, 300, 1500)
+        batches = [np.random.default_rng(seed).normal(size=(b, 4)) for seed, b in enumerate(sizes)]
+        serial = [load_model(path).forward(x) for x in batches]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                model = load_model(path)
+                assert all(bn._affine is None for _, bn in model.blocks)
+                start = threading.Barrier(len(batches))
+                found = [[] for _ in batches]
+
+                def forward_many(i):
+                    start.wait()
+                    found[i].extend(model.forward(batches[i]) for _ in range(3))
+
+                threads = [threading.Thread(target=forward_many, args=(i,)) for i in range(len(batches))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                for expected, outputs in zip(serial, found):
+                    assert len(outputs) == 3 and all(np.array_equal(y, expected) for y in outputs)
+        finally:
+            sys.setswitchinterval(interval)
+
+
+def state_slice(model, vector):
+    """The slice of model.state that the view `vector` covers."""
+    start = (vector.ctypes.data - model.state.ctypes.data) // vector.itemsize
+    return slice(start, start + vector.size)
+
+
+def moved_model(seed=5):
+    """A small model after three training steps: every batchnorm vector off its default."""
+    model = init_model(small_spec(hidden=(16, 8)), seed=seed)
+    adam, rng = Adam(model.params, learning_rate=0.01), np.random.default_rng(seed)
+    for _ in range(3):
+        x, y = random_batch(rng, b=32)
+        _, cache = model.forward_train(x)
+        adam.step(model.params, backward(model, cache, y))
+    return model
+
+
+class TestAffineMemo:
+    """forward_infer computes scale and shift once per set of values: every writer
+    of epsilon or of the four vectors is seen, and unchanged values reuse the arrays."""
+
+    @staticmethod
+    def affines(model):
+        """Each batchnorm's memoized scale and shift arrays, in block order."""
+        return [array for _, bn in model.blocks for array in bn._affine[1:]]
+
+    @staticmethod
+    def write(model, writer, tmp_path):
+        """Apply `writer` to a model whose memos are warm; returns the model to forward."""
+        rng = np.random.default_rng(17)
+        if writer == "forward_train":
+            model.forward_train(rng.normal(size=(32, 4)))
+        elif writer == "adam_step":
+            Adam(model.params, learning_rate=0.01).step(model.params, rng.normal(size=model.params.size))
+        elif writer == "restore":  # the state moved_model started from
+            model.restore(init_model(model.spec, seed=5).snapshot())
+        elif writer.startswith("state."):
+            for _, bn in model.blocks:
+                model.state[state_slice(model, getattr(bn, writer[len("state."):]))] *= 1.25
+        elif writer == "epsilon":
+            for _, bn in model.blocks:
+                bn.epsilon = 0.25
+        elif writer == "load_model":
+            save_model(moved_model(seed=6), tmp_path / "model.bin")
+            model = load_model(tmp_path / "model.bin")
+        return model
+
+    @pytest.mark.parametrize("writer", [
+        "forward_train", "adam_step", "restore", "state.gamma", "state.beta",
+        "state.running_mean", "state.running_var", "epsilon", "load_model",
+    ])
+    def test_every_writer_is_seen_and_unchanged_values_reuse_the_affine(self, writer, tmp_path):
+        model = moved_model()
+        x = np.random.default_rng(8).normal(size=(64, 4))
+        before = model.forward(x)
+        assert np.array_equal(before, reference_forward(model, x))
+        kept = self.affines(model)
+        model.forward(x[:1])
+        assert all(a is b for a, b in zip(self.affines(model), kept))
+
+        model = self.write(model, writer, tmp_path)
+        found = model.forward(x)
+        assert not np.array_equal(found, before)
+        assert np.array_equal(found, reference_forward(model, x))
+        fresh = self.affines(model)
+        assert not any(a is b for a, b in zip(fresh, kept))
+        model.forward(x[:1])
+        assert all(a is b for a, b in zip(self.affines(model), fresh))
+
 
 class TestSerialization:
     def trained_ish_model(self, seed=0, spec=None):
