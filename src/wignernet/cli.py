@@ -9,8 +9,8 @@ Any subset of keys may appear in a user config; missing keys keep their
 defaults, and each setting flag (_FLAGS) overrides one key, checked as the
 file's values are.  Every evaluation command accepts --oracle, which
 substitutes the exact closed form for the network and therefore must
-produce zero error.  Only generate and phasespace read the config's oscillator; eval
-and sweep take it from the dataset's `#` lines.  With fixed seeds the whole pipeline
+produce zero error.  Only generate reads the config's oscillator; eval, sweep and
+phasespace take it from the dataset's `#` lines.  With fixed seeds the whole pipeline
 is deterministic: re-running produces byte-identical files.
 """
 
@@ -205,18 +205,20 @@ def _load_run_config(args) -> RunConfig:
     return rc
 
 
-def _resolve_predictor(args, rc: RunConfig, oscillator: OscillatorConfig):
-    """Pick the network or the exact closed form under `oscillator`, per --oracle.
-    The network must map an INPUTS row to a STATE row."""
+def _resolve_predictor(args, rc: RunConfig):
+    """(predict, oscillator, trained ranges) of an evaluating command, the last two from the `#`
+    lines of the dataset (--dataset, else out_dir's), read head-only; predict is the closed
+    form under that oscillator with --oracle, else the network, checked to map INPUTS to STATE."""
+    _, oscillator, _, trained = _read_header(args.dataset or rc.out_dir / DATASET_FILE, head_only=True)
     if args.oracle:
-        return oracle_predictor(oscillator)
+        return oracle_predictor(oscillator), oscillator, trained
     path = args.model or rc.out_dir / MODEL_FILE
     model = load_model(path)
     widths = (model.spec.input_dim, model.spec.output_dim)
     if widths != (len(INPUTS), len(STATE)):
         raise ValueError(f"{path}: the model maps shape (B, {widths[0]}) to (B, {widths[1]}), "
                          f"a row needs (B, {len(INPUTS)}) to (B, {len(STATE)})")
-    return model.forward
+    return model.forward, oscillator, trained
 
 
 def _load_data(args, rc: RunConfig):
@@ -271,7 +273,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     rc = _load_run_config(args)
     ds, splits = _load_data(args, rc)
-    total, per_output = evaluate(_resolve_predictor(args, rc, ds.config), ds, splits.test)
+    total, per_output = evaluate(_resolve_predictor(args, rc)[0], ds, splits.test)
 
     head = [
         f"test_rows {splits.test.size}",
@@ -286,8 +288,7 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep(args) -> int:
     rc = _load_run_config(args)
-    _, oscillator, _, trained = _read_header(args.dataset or rc.out_dir / DATASET_FILE, head_only=True)
-    predict = _resolve_predictor(args, rc, oscillator)
+    predict, oscillator, trained = _resolve_predictor(args, rc)
 
     result = hbar_sweep(predict, rc.sweep_spec, oscillator)
     save_sweep(result, rc.out_dir / SWEEP_FILE)
@@ -306,8 +307,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_phasespace(args) -> int:
     rc = _load_run_config(args)
-    predict = _resolve_predictor(args, rc, rc.oscillator)
-    results = phase_space_grids(predict, rc.phasespace_spec)
+    results = phase_space_grids(_resolve_predictor(args, rc)[0], rc.phasespace_spec)
 
     failures = 0
     for res in results:
@@ -332,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     defaults = default_config()
     inputs = {  # the flags that name input files or pick the predictor, not settings
-        "--dataset": {"help": "dataset CSV path; its # lines give the physics (oscillator) "
-                              "for --oracle and sweep, and sweep's trained hbar range"},
+        "--dataset": {"help": "dataset CSV path; its # lines give eval, sweep and phasespace "
+                              "their physics (oscillator), and sweep its trained hbar range"},
         "--splits": {"help": "split CSV path"},
         "--model": {"help": "model file path"},
         "--oracle": {"action": "store_true", "help": "use the closed form instead of a model"},
@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("sweep", cmd_sweep, "hbar sweep of predicted vs analytical sigma_x(t)",
          ("--model", "--dataset", "--oracle")),
         ("phasespace", cmd_phasespace, "predicted Wigner grids at the configured hbar values",
-         ("--model", "--oracle")),
+         ("--model", "--dataset", "--oracle")),
     ):
         p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="JSON config file; missing keys keep defaults")

@@ -214,7 +214,7 @@ COMMAND_FLAGS = {
     ],
     "eval": ["--config", "--out-dir", "--dataset", "--splits", "--model", "--oracle"],
     "sweep": ["--config", "--out-dir", "--model", "--dataset", "--oracle"],
-    "phasespace": ["--config", "--out-dir", "--model", "--oracle"],
+    "phasespace": ["--config", "--out-dir", "--model", "--dataset", "--oracle"],
 }
 
 # A value for each setting flag that changes what generate or train writes.
@@ -575,8 +575,9 @@ class TestDatasetMetadata:
         "command, old, new, lineno, message",
         [("eval", "# t 5\n", "# t 1e308\n", 3, "t 1e+308 is outside [0, 1e+06]"),
          ("sweep", "# hbar_log10_range -6 0\n", "# hbar_log10_range -400 0\n", 8,
-          "hbar_log10 min -400.0 is outside [-12, 3]")],
-        ids=["t", "hbar_log10"],
+          "hbar_log10 min -400.0 is outside [-12, 3]"),
+         ("phasespace", "# t 5\n", "# t 1e308\n", 3, "t 1e+308 is outside [0, 1e+06]")],
+        ids=["t", "hbar_log10", "phasespace-t"],
     )
     def test_metadata_outside_the_domain_fails_naming_its_line_and_key(
         self, tmp_path, capsys, command, old, new, lineno, message
@@ -594,6 +595,7 @@ class TestDatasetMetadata:
             assert run(command, "--config", cfg, "--oracle") == 1
         assert caught == []
         assert capsys.readouterr().err == f"error: {path}: line {lineno}: {message}\n"
+        assert not list(tmp_path.glob("run/phasespace_*"))
 
     @pytest.mark.parametrize(
         "edits",
@@ -630,8 +632,8 @@ class TestDatasetMetadata:
 
 
 class TestDatasetPhysics:
-    """eval and sweep take the oscillator from the dataset's `#` lines, whatever the
-    config's oscillator section says: here a t = 3 dataset read under the default t = 5."""
+    """eval, sweep and phasespace take the oscillator from the dataset's `#` lines, whatever
+    the config's oscillator section says: here a t = 3 dataset read under the default t = 5."""
 
     @pytest.fixture
     def t3_dir(self, tmp_path):
@@ -656,6 +658,16 @@ class TestDatasetPhysics:
         exact, _ = evolve_batch(OscillatorConfig(t=3.0), spec._state_rows(spec.hbar_values))
         assert np.array_equal(columns[2], exact[:, 2])  # sigma_xt_analytical
         assert np.array_equal(columns[1], exact[:, 2])  # sigma_xt_pred, by the oracle
+
+    def test_phasespace_oracle_draws_the_datasets_closed_form(self, t3_dir, tmp_path):
+        assert run("phasespace", "--oracle", "--out-dir", t3_dir) == 0
+        for command in (["generate", "--n", 200], ["phasespace", "--oracle"]):  # under t = 3
+            assert run(*command, "--config", tmp_path / "t3.json", "--out-dir", tmp_path / "ref") == 0
+        names = sorted(p.name for p in (tmp_path / "ref").glob("phasespace_*"))
+        assert names == sorted(p.name for p in t3_dir.glob("phasespace_*"))
+        assert len(names) == 3
+        for name in names:
+            assert (t3_dir / name).read_bytes() == (tmp_path / "ref" / name).read_bytes(), name
 
 
 class TestSplitCoverage:
@@ -694,13 +706,15 @@ class TestSweep:
         assert "median rel err" in out
         assert "decreasing below trained range: True" in out
 
-    def test_missing_companion_dataset_fails_naming_it(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, output", [("sweep", "sweep.csv"), ("phasespace", "phasespace_*")],
+                             ids=["sweep", "phasespace"])
+    def test_missing_companion_dataset_fails_naming_it(self, tmp_path, capsys, command, output):
         cfg = small_config(tmp_path)
         assert run("generate", "--config", cfg) == 0
         missing = tmp_path / "nope.csv"
-        assert run("sweep", "--config", cfg, "--oracle", "--dataset", missing) == 1
+        assert run(command, "--config", cfg, "--oracle", "--dataset", missing) == 1
         assert str(missing) in capsys.readouterr().err
-        assert not (tmp_path / "run" / "sweep.csv").exists()
+        assert not list((tmp_path / "run").glob(output))
 
     @pytest.mark.parametrize("bounds", [{"hbar_log10_max": 400}, {"hbar_log10_max": 200},
                                         {"hbar_log10_min": -320}], ids=["inf", "1e200", "1e-320"])
