@@ -200,9 +200,7 @@ def _load_run_config(args) -> RunConfig:
             for part in reversed(key.split(".")):
                 override = {part: override}
             _merge(cfg, override)
-    rc = RunConfig.from_dict(cfg)
-    rc.out_dir.mkdir(parents=True, exist_ok=True)
-    return rc
+    return RunConfig.from_dict(cfg)
 
 
 def _resolve_predictor(args, rc: RunConfig):

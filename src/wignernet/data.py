@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from itertools import chain, islice
+from pathlib import Path
 from typing import NoReturn
 
 import numpy as np
@@ -36,11 +36,12 @@ class FormatError(ValueError):
     """Raised when a dataset, split or model file does not match the layout it was written in."""
 
 
-def _write_text(path: str | os.PathLike, head, rows=()) -> None:
-    """Write a text file: the head lines, then the rows, each newline-terminated.
+def _write_text(path: str | os.PathLike, head, rows: np.ndarray = np.empty((0, 0))) -> None:
+    """Write a text file, making its parent directory: the head lines, then the rows, each
+    newline-terminated.
 
     A head line is a string, written as it is, or a (label, values) pair, written as the label and the
-    values joined by spaces.  A row is a sequence of values joined by commas, all of one width.  Values
+    values joined by spaces.  The rows come as one 2-D array, a row's values joined by commas.  Values
     are written with 17 significant digits, which round-trips 64-bit floats exactly: one `%` call per
     head line and per block of rows, the same `%.17g` conversion and bytes as f"{v:.17g}" per value.
     The head lines are joined and written at once, and each block of rows with one write.
@@ -52,15 +53,12 @@ def _write_text(path: str | os.PathLike, head, rows=()) -> None:
             values = tuple(values.tolist() if isinstance(values, np.ndarray) else values)
             line = label + (" %.17g" * len(values)) % values
         lines.append(line)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join([*lines, ""]))  # each line newline-terminated, nothing for no lines
-        if isinstance(rows, np.ndarray):  # a 2-D array, as Python numbers a block at a time
-            parts = np.split(rows, range(_BLOCK_ROWS, len(rows), _BLOCK_ROWS))
-            rows = chain.from_iterable(part.tolist() for part in parts)
-        rows = iter(rows)
-        for block in iter(lambda: list(islice(rows, _BLOCK_ROWS)), []):
-            (width,) = set(map(len, block))  # ValueError for rows of different widths
-            fh.write((",".join(["%.17g"] * width) + "\n") * len(block) % tuple(chain.from_iterable(block)))
+        row = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+        for block in np.split(rows, range(_BLOCK_ROWS, len(rows), _BLOCK_ROWS)):
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _read_lines(path: str | os.PathLike, limit: int | None = None) -> list[str]:

@@ -240,7 +240,7 @@ def convergence_report(
 def save_sweep(result: SweepResult, path: str | os.PathLike) -> None:
     """Plot-ready sweep CSV, one row per hbar, one column per SweepResult field."""
     names = [f.name for f in fields(result)]
-    _write_text(path, [",".join(names)], zip(*(getattr(result, name) for name in names)))
+    _write_text(path, [",".join(names)], np.column_stack([getattr(result, name) for name in names]))
 
 
 def save_phase_space(result: PhaseSpaceResult, path: str | os.PathLike) -> None:

@@ -136,11 +136,8 @@ def train(
 def save_report(report: TrainReport, csv_path: str | os.PathLike, summary_path: str | os.PathLike) -> None:
     """Write the loss history CSV and a short human-readable summary: a `name values` line
     per scalar field of the report (each but the per-epoch lists), in field order."""
-    history = zip(
-        range(1, len(report.train_loss_per_epoch) + 1),
-        report.train_loss_per_epoch,
-        report.val_loss_per_epoch,
-    )
+    train_losses, val_losses = report.train_loss_per_epoch, report.val_loss_per_epoch
+    history = np.column_stack([np.arange(1, len(train_losses) + 1), train_losses, val_losses])
     _write_text(csv_path, ["epoch,train_loss,val_loss"], history)
     summary = [(k, np.ravel(v)) for k, v in vars(report).items() if not isinstance(v, list)]
     _write_text(summary_path, summary)

@@ -204,6 +204,21 @@ class TestConfig:
             assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval", "sweep", "phasespace"])
+    def test_command_that_fails_on_a_missing_dataset_leaves_no_out_dir(self, tmp_path, capsys, command):
+        out_dir = tmp_path / "run"
+        assert run(command, "--out-dir", out_dir) == 1
+        assert str(out_dir / "dataset.csv") in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_out_dir_is_made_by_the_first_write(self, tmp_path):
+        cfg = small_config(tmp_path)
+        assert run("generate", "--config", cfg) == 0
+        run_dir, out_dir = tmp_path / "run", tmp_path / "new" / "nested"
+        assert run("eval", "--oracle", "--dataset", run_dir / "dataset.csv",
+                   "--splits", run_dir / "splits.csv", "--out-dir", out_dir) == 0
+        assert [p.name for p in out_dir.iterdir()] == ["eval.txt"]
+
 
 # Every flag each command takes; a flag not listed for a command is rejected.
 COMMAND_FLAGS = {

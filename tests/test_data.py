@@ -25,8 +25,10 @@ from wignernet.data import (
     save_splits,
     split_indices,
 )
+from wignernet.experiments import SweepResult, save_sweep
 from wignernet.network import ArchitectureSpec, init_model
 from wignernet.oscillator import OscillatorConfig, evolve_batch
+from wignernet.training import TrainReport, save_report
 
 CFG = OscillatorConfig()
 
@@ -536,15 +538,16 @@ BITS = np.random.default_rng(3).integers(0, 2**64, 400, dtype=np.uint64).view(np
 class TestWriteText:
     """_write_text writes the bytes of the per-value reference writer."""
 
-    def assert_same_bytes(self, tmp_path, head, make_rows=tuple):
-        """Both writers on the same head and on rows from make_rows(), which may be one-shot."""
-        _write_text(tmp_path / "a.txt", head, make_rows())
-        reference_write_text(tmp_path / "b.txt", head, make_rows())
+    def assert_same_bytes(self, tmp_path, head, *rows):
+        """Both writers on the same head and, when one is given, the same 2-D array of rows."""
+        _write_text(tmp_path / "a.txt", head, *rows)
+        reference_write_text(tmp_path / "b.txt", head, *rows)
         assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
     def test_edge_and_random_floats(self, tmp_path):
         head = [("# edge", EDGE), ("# edge array", np.array(EDGE)), ("# bits", BITS)]
-        self.assert_same_bytes(tmp_path, head, lambda: BITS.reshape(-1, 8))
+        self.assert_same_bytes(tmp_path, head, BITS.reshape(-1, 8))
+        self.assert_same_bytes(tmp_path, [], BITS.reshape(-1, 20))
 
     def test_numpy_scalars_ints_and_an_empty_list(self, tmp_path):
         head = [
@@ -558,12 +561,21 @@ class TestWriteText:
         self.assert_same_bytes(tmp_path, head)
         assert (tmp_path / "a.txt").read_text().splitlines()[-2:] == ["# empty", "# empty array"]
 
-    def test_zip_rows_and_a_2d_array(self, tmp_path):
-        columns = [np.array(EDGE), np.array(EDGE[::-1]), np.arange(len(EDGE)) * 0.1]
-        self.assert_same_bytes(tmp_path, ["a,b,c"], lambda: zip(*columns))  # as save_sweep
-        history = (range(1, 4), [0.5, 1 / 3, 5e-324], [np.float64(0.25), np.nan, 1e300])
-        self.assert_same_bytes(tmp_path, ["epoch,x,y"], lambda: zip(*history))  # as save_report
-        self.assert_same_bytes(tmp_path, [], lambda: BITS.reshape(-1, 20))
+    def test_sweep_and_history_write_the_bytes_of_their_zipped_columns(self, tmp_path):
+        """save_report's and save_sweep's column-stacked arrays, int epochs among float losses
+        and non-finite values included, give the bytes of their columns zipped into rows."""
+        n = 300  # past a block of rows
+        rng = np.random.default_rng(5)
+        losses = [rng.random(n).tolist(), [*rng.random(n - 1).tolist(), math.nan]]
+        save_report(TrainReport(*losses), tmp_path / "a.txt", tmp_path / "summary.txt")
+        reference_write_text(tmp_path / "b.txt", ["epoch,train_loss,val_loss"], zip(range(1, n + 1), *losses))
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+
+        sweep = SweepResult(*(np.roll(EDGE, shift) for shift in range(6)))
+        names = [f.name for f in fields(sweep)]
+        save_sweep(sweep, tmp_path / "a.txt")
+        reference_write_text(tmp_path / "b.txt", [",".join(names)], zip(*(getattr(sweep, k) for k in names)))
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
 
     def test_stock_architecture_model_lines(self, tmp_path):
         """A line per row of each tensor of a stock model, 132k random doubles."""
@@ -575,21 +587,7 @@ class TestWriteText:
     @pytest.mark.parametrize("width", [1, 8])
     @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 1023, 1024, 1025, 2049])
     def test_bodies_across_block_boundaries(self, tmp_path, n, width):
-        """Random doubles as a 2-D array, as zipped columns and as generated rows of Python
-        floats, ints and numpy scalars: each side of a block boundary, for blocks of 256 rows
+        """Random doubles as a 2-D array: each side of a block boundary, for blocks of 256 rows
         (and of any power of two up to 1024 rows)."""
         values = np.random.default_rng(n).integers(0, 2**64, (n, width), dtype=np.uint64).view(np.float64)
-        self.assert_same_bytes(tmp_path, ["h"], lambda: values)
-        self.assert_same_bytes(tmp_path, ["h"], lambda: zip(*values.T))
-
-        def mixed():  # each row's cells start at a further one of the five forms
-            for i, row in enumerate(values.tolist()):
-                cells = [i, np.int64(-i), 2**53 + i, np.float32(1 / (i + 3)), np.float64(row[-1]), *row]
-                yield cells[i % 5 :][:width]
-
-        self.assert_same_bytes(tmp_path, ["h"], mixed)
-
-    def test_rows_of_different_widths_raise(self, tmp_path):
-        """Two rows of one and three cells are not formatted as two of two."""
-        with pytest.raises(ValueError):
-            _write_text(tmp_path / "a.txt", [], [(1.0,), (2.0, 3.0, 4.0)])
+        self.assert_same_bytes(tmp_path, ["h"], values)

@@ -1,7 +1,7 @@
 """Code that only tests use belongs in tests/: every module-level function and
 class of the package, and every public method of those classes, is used by the
-package itself, by perfbench or by pyproject.toml.  The version is written once,
-in the package."""
+package itself, by perfbench or by pyproject.toml.  Every name a module of the
+package imports is used in it.  The version is written once, in the package."""
 
 from __future__ import annotations
 
@@ -50,6 +50,19 @@ def references(source: str) -> set[str]:
     return used
 
 
+def unused_imports(source: str) -> list[str]:
+    """Names the module imports but never loads; a name in an annotation, quoted or not, is used."""
+    tree = ast.parse(source)
+    imported = [alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+                for alias in node.names]
+    annotations = [getattr(node, key) for node in ast.walk(tree) for key in ("annotation", "returns")
+                   if isinstance(getattr(node, key, None), ast.Constant)]
+    quoted = [ast.parse(a.value, mode="eval") for a in annotations if isinstance(a.value, str)]
+    used = {node.id for root in (tree, *quoted) for node in ast.walk(root) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
 def test_every_definition_has_a_user_outside_tests():
     users = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py"))]
     used = set(IDENTIFIER.findall((ROOT / "pyproject.toml").read_text()))
@@ -81,6 +94,27 @@ TARGETS = ("network.Layer.forward", "not a name: Layer")
     used = references(source)
     assert definitions(source) == ["wigner_value", "wigner_grid", "Layer", "forward"]
     assert [name for name in definitions(source) if name not in used] == ["wigner_value"]
+
+
+def test_every_import_is_used():
+    unused = [f"{path.name}: {name}" for path in sorted(PACKAGE.glob("*.py"))
+              for name in unused_imports(path.read_text())]
+    assert not unused, "imported but unused: " + ", ".join(unused)
+
+
+def test_an_import_used_only_in_an_annotation_is_used():
+    source = '''
+from __future__ import annotations
+import os.path
+from itertools import chain, islice
+from typing import NoReturn
+from .data import Dataset as Rows
+
+def fail(path: os.PathLike, rows: "Rows") -> NoReturn:
+    """chain the rows."""
+    return islice
+'''
+    assert unused_imports(source) == ["chain"]
 
 
 def test_pyproject_takes_the_version_from_the_package():
