@@ -18,7 +18,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import reduce
 from pathlib import Path
 
@@ -49,7 +49,7 @@ from .experiments import (
     save_sweep,
 )
 from .network import ArchitectureSpec, init_model, load_model, save_model
-from .oscillator import INPUTS, STATE, OscillatorConfig
+from .oscillator import INPUTS, OscillatorConfig
 from .training import TrainConfig, evaluate, save_report, train
 
 DATASET_FILE = "dataset.csv"
@@ -59,9 +59,6 @@ HISTORY_FILE = "history.csv"
 SUMMARY_FILE = "summary.txt"
 EVAL_FILE = "eval.txt"
 SWEEP_FILE = "sweep.csv"
-
-
-_DATA_WIDTHS = {"input_dim", "output_dim"}  # ArchitectureSpec's, set by the data, not the config
 
 # Each setting flag: the config key it overrides and the commands that take it.
 # Its value has the type of that key's default.
@@ -90,7 +87,7 @@ def default_config() -> dict:
 
 def _defaults(owner) -> dict:
     """The keys of config dataclass `owner`'s section, with their defaults as JSON values."""
-    return {f.name: _to_json(f.default) for f in fields(owner) if f.init and f.name not in _DATA_WIDTHS}
+    return {f.name: _to_json(f.default) for f in fields(owner) if f.init}
 
 
 def _to_json(value):
@@ -141,9 +138,9 @@ class RunConfig:
     """Typed view of the merged JSON config, and the one declaration of its keys.
 
     Each field names its JSON key.  A field whose type is a config dataclass is a
-    section, and the section's keys are that class's init fields (less
-    _DATA_WIDTHS), with their defaults.  Every other field is one dotted key, with
-    its default and, for a count or a seed, its least value.
+    section, and the section's keys are that class's init fields, with their
+    defaults.  Every other field is one dotted key, with its default and, for a
+    count or a seed, its least value.
     """
 
     oscillator: OscillatorConfig = _key("oscillator")
@@ -206,17 +203,11 @@ def _load_run_config(args) -> RunConfig:
 def _resolve_predictor(args, rc: RunConfig):
     """(predict, oscillator, trained ranges) of an evaluating command, the last two from the `#`
     lines of the dataset (--dataset, else out_dir's), read head-only; predict is the closed
-    form under that oscillator with --oracle, else the network, checked to map INPUTS to STATE."""
+    form under that oscillator with --oracle, else the network, whose widths are the row layout's."""
     _, oscillator, _, trained = _read_header(args.dataset or rc.out_dir / DATASET_FILE, head_only=True)
     if args.oracle:
         return oracle_predictor(oscillator), oscillator, trained
-    path = args.model or rc.out_dir / MODEL_FILE
-    model = load_model(path)
-    widths = (model.spec.input_dim, model.spec.output_dim)
-    if widths != (len(INPUTS), len(STATE)):
-        raise ValueError(f"{path}: the model maps shape (B, {widths[0]}) to (B, {widths[1]}), "
-                         f"a row needs (B, {len(INPUTS)}) to (B, {len(STATE)})")
-    return model.forward, oscillator, trained
+    return load_model(args.model or rc.out_dir / MODEL_FILE).forward, oscillator, trained
 
 
 def _load_data(args, rc: RunConfig):
@@ -254,8 +245,7 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     rc = _load_run_config(args)
     ds, splits = _load_data(args, rc)
-    arch = replace(rc.arch, input_dim=ds.inputs.shape[1], output_dim=ds.targets.shape[1])
-    model, report = train(init_model(arch, rc.init_seed), ds, splits, rc.train_config)
+    model, report = train(init_model(rc.arch, rc.init_seed), ds, splits, rc.train_config)
     save_model(model, rc.out_dir / MODEL_FILE)
     save_report(report, rc.out_dir / HISTORY_FILE, rc.out_dir / SUMMARY_FILE)
 

@@ -1,10 +1,11 @@
 """From-scratch feedforward network: dense layers, ReLU, batch normalization,
 exact backpropagation, Adam, and serialization.
 
-Every hidden block applies affine -> ReLU -> batch normalization (the paper's
-enhanced architecture), and the output layer is a plain affine map.  Batch
-normalization uses per-batch statistics with the biased variance while
-training and running statistics at inference:
+The network maps an oscillator.INPUTS row to a STATE row, so its in and out widths
+are the row layout's and only the hidden widths are set.  Every hidden block applies
+affine -> ReLU -> batch normalization (the paper's enhanced architecture), and the
+output layer is a plain affine map.  Batch normalization uses per-batch statistics
+with the biased variance while training and running statistics at inference:
 
     train:  y = xc * (gamma * inv_std) + beta,  xc = x - mean(x),  inv_std = 1 / sqrt(var(x) + eps)
             running <- momentum * running + (1 - momentum) * batch_stat
@@ -36,9 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import _TextReader, _write_text
+from .oscillator import INPUTS, STATE
 
 MODEL_FILE_MAGIC = "wignernet model v2"
-_BATCHNORM_LINE = "batchnorm 1"  # line 5 of a model file: every hidden block has one
+# Lines 2, 4 and 5 of a model file: the row layout's widths, and every hidden block has batchnorm.
+_INPUT_DIM_LINE = f"input_dim {len(INPUTS)}"
+_OUTPUT_DIM_LINE = f"output_dim {len(STATE)}"
+_BATCHNORM_LINE = "batchnorm 1"
 
 # Batch normalization's fixed hyperparameters (Ioffe & Szegedy, ICML 2015).
 BN_MOMENTUM = 0.99
@@ -57,17 +62,18 @@ _scratch = threading.local()
 
 @dataclass
 class ArchitectureSpec:
-    """Layer widths; the defaults give 4-128-256-256-128-4."""
+    """The hidden widths; `dims` adds the row layout's in and out: 4-128-256-256-128-4 by default."""
 
-    input_dim: int = 4
     hidden_dims: tuple[int, ...] = (128, 256, 256, 128)
-    output_dim: int = 4
 
     def __post_init__(self):
         self.hidden_dims = tuple(int(d) for d in self.hidden_dims)
-        dims = (self.input_dim, *self.hidden_dims, self.output_dim)
-        if any(d < 1 for d in dims):
-            raise ValueError(f"hidden_dims and the in and out widths must be >= 1, got {dims}")
+        if any(d < 1 for d in self.dims):
+            raise ValueError(f"hidden_dims and the in and out widths must be >= 1, got {self.dims}")
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return (len(INPUTS), *self.hidden_dims, len(STATE))
 
 
 class DenseLayer:
@@ -169,11 +175,10 @@ def _views(buffer: np.ndarray, taken: list[np.ndarray]):
 def _layers(spec: ArchitectureSpec, param, stat):
     """The blocks and the output layer, their tensors taken in state order from
     param (parameters) and stat (running statistics)."""
-    dims = (spec.input_dim, *spec.hidden_dims, spec.output_dim)
     blocks = [(DenseLayer(param(width, fan_in), param(width)),
                BatchNormLayer(param(width), param(width), stat(width), stat(width)))
-              for fan_in, width in zip(dims, spec.hidden_dims)]
-    return blocks, DenseLayer(param(dims[-1], dims[-2]), param(dims[-1]))
+              for fan_in, width in zip(spec.dims, spec.hidden_dims)]
+    return blocks, DenseLayer(param(spec.dims[-1], spec.dims[-2]), param(spec.dims[-1]))
 
 
 class MlpModel:
@@ -190,7 +195,7 @@ class MlpModel:
     def __init__(self, spec: ArchitectureSpec, init_seed: int):
         self.spec = spec
         self.init_seed = init_seed
-        dims = (spec.input_dim, *spec.hidden_dims, spec.output_dim)
+        dims = spec.dims
         n_stats = 2 * sum(spec.hidden_dims)  # as many as gamma and beta
         n_params = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims, dims[1:])) + n_stats
         # From a 64-byte line wherever the heap puts it: then no SIMD load of a weight
@@ -207,10 +212,10 @@ class MlpModel:
         self._grad_layers = _layers(spec, _views(self.grad, []), _views(np.empty(n_stats), []))
 
     def _batch(self, x) -> np.ndarray:
-        """x as a float64 batch of shape (B, input_dim)."""
+        """x as a float64 batch of INPUTS rows, of shape (B, len(INPUTS))."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.spec.input_dim:
-            raise ValueError(f"batch must have shape (B, {self.spec.input_dim}), got {x.shape}")
+        if x.ndim != 2 or x.shape[1] != len(INPUTS):
+            raise ValueError(f"batch must have shape (B, {len(INPUTS)}), got {x.shape}")
         return x
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -226,7 +231,7 @@ class MlpModel:
                                               for i, width in enumerate(widths)]
         if x.shape[0] <= INFER_TILE_ROWS:
             return self._infer(x, tiles)
-        out = np.empty((x.shape[0], self.spec.output_dim))
+        out = np.empty((x.shape[0], len(STATE)))
         for start in range(0, x.shape[0], INFER_TILE_ROWS):
             tile = slice(start, start + INFER_TILE_ROWS)
             out[tile] = self._infer(x[tile], tiles)
@@ -373,9 +378,9 @@ class Adam:
 def save_model(model: MlpModel, path) -> None:
     """Model format v2: nine text lines, the last `state <n>`, then the n values of
     model.state as little-endian float64 bytes, bit for bit."""
-    spec, dims = model.spec, " ".join(str(d) for d in model.spec.hidden_dims)
-    _write_text(path, [MODEL_FILE_MAGIC, f"input_dim {spec.input_dim}", f"hidden_dims {dims}",
-                       f"output_dim {spec.output_dim}", _BATCHNORM_LINE, f"init_seed {model.init_seed}",
+    dims = " ".join(str(d) for d in model.spec.hidden_dims)
+    _write_text(path, [MODEL_FILE_MAGIC, _INPUT_DIM_LINE, f"hidden_dims {dims}",
+                       _OUTPUT_DIM_LINE, _BATCHNORM_LINE, f"init_seed {model.init_seed}",
                        ("momentum", [BN_MOMENTUM]), ("epsilon", [BN_EPSILON]), f"state {model.state.size}"])
     with open(path, "ab") as fh:
         fh.write(model.state.astype("<f8").tobytes())
@@ -384,7 +389,7 @@ def save_model(model: MlpModel, path) -> None:
 def load_model(path) -> MlpModel:
     """Read a file written by save_model; every value of state is restored bit-exactly.
 
-    The text lines must be those save_model writes for their architecture, momentum
+    The text lines must be those save_model writes for their hidden widths, momentum
     and epsilon equal in value, and exactly n finite values must follow `state <n>`;
     anything else raises FormatError naming the line.
     """
@@ -393,12 +398,10 @@ def load_model(path) -> MlpModel:
     lines = [line.decode("utf-8", "replace").rstrip("\r\n") for line in head if line]
     reader = _TextReader(path, lines)
     reader.line(MODEL_FILE_MAGIC)
+    reader.line(_INPUT_DIM_LINE)
     with reader.group():
-        spec = ArchitectureSpec(
-            input_dim=reader.value("input_dim", int),
-            hidden_dims=reader.values("hidden_dims", kind=int),
-            output_dim=reader.value("output_dim", int),
-        )
+        spec = ArchitectureSpec(hidden_dims=reader.values("hidden_dims", kind=int))
+    reader.line(_OUTPUT_DIM_LINE)
     reader.line(_BATCHNORM_LINE)
     model = MlpModel(spec, init_seed=reader.value("init_seed", int))
     for label, constant in (("momentum", BN_MOMENTUM), ("epsilon", BN_EPSILON)):

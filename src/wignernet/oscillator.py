@@ -15,6 +15,12 @@ only for a coherent state, sigma_x0 = sqrt(hbar / (2 m omega)), deviate from it 
 (1) sigma_x(t)^2 is Sigma_xx (_exact_var_x) plus a cross term (_paper_cross_term),
 and (2) sigma_p(t) = m omega sigma_x(t), not sqrt(Sigma_pp).
 
+With hbar = 2 sigma_x0 sigma_p0 the cross term is sin(2 omega t) (sigma_p0^2 / (m omega)^2 -
+sigma_x0^2), so at fixed (m, omega, t) the labels are one linear map of (x0, p0, sigma_x0^2,
+sigma_p0^2): (x(t), p(t)) = M (x0, p0), sigma_p(t)^2 = (m omega)^2 sigma_x(t)^2, and the signed
+variance is sigma_x(t)^2 = (c^2 - sin 2 omega t) sigma_x0^2 + ((s^2 + sin 2 omega t) / (m omega)^2)
+sigma_p0^2.  Only a negative coefficient lets a row clamp; the stock t = 5 gives 0.6245 and 0.3755.
+
 The cross term can make the variance negative; evaluation takes sqrt(|sigma_x(t)^2|)
 and flags the sign flip (see evolve_batch) rather than failing.  As hbar -> 0 it tends
 to -sigma_x0^2 sin(2 omega t), not 0, so the width tends to

@@ -161,7 +161,7 @@ class TestCriterion3:
     def test_gradient_correctness(self):
         """grad_check <= 1e-5 on ten random 4->8->4 batchnorm models, B=16."""
         worst = 0.0
-        spec = ArchitectureSpec(input_dim=4, hidden_dims=(8,), output_dim=4)
+        spec = ArchitectureSpec(hidden_dims=(8,))
         for seed in range(10):
             model = init_model(spec, seed=seed)
             rng = np.random.default_rng(1000 + seed)

@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wignernet import cli
 from wignernet.cli import _FLAGS, RunConfig, build_parser, default_config, main
 from wignernet.data import SamplingRanges, load_dataset, load_splits
 from wignernet.experiments import PhaseSpaceSpec, SweepSpec
@@ -33,8 +32,8 @@ def flat(node, prefix=""):
 
 
 def section_keys(owner):
-    """The names of config dataclass `owner`'s section keys: its init fields but the data widths."""
-    return [f.name for f in fields(owner) if f.init and f.name not in {"input_dim", "output_dim"}]
+    """The names of config dataclass `owner`'s section keys: its init fields."""
+    return [f.name for f in fields(owner) if f.init]
 
 
 def small_config(tmp_path, **overrides):
@@ -61,8 +60,8 @@ class TestConfig:
         assert json.loads(block) == default_config()
 
     def test_section_keys_are_their_dataclass_fields(self):
-        """Each section lists exactly its dataclass's init fields, but the data
-        widths; every other key is a RunConfig field of its own."""
+        """Each section lists exactly its dataclass's init fields; every other key
+        is a RunConfig field of its own."""
         cfg = default_config()
         sections = {f.metadata["key"]: f.type for f in fields(RunConfig) if is_dataclass(f.type)}
         assert sections == {"oscillator": OscillatorConfig, "sampling": SamplingRanges,
@@ -519,21 +518,6 @@ class TestTrain:
         assert err == "error: training split has 8 rows, below training.batch_size 16\n"
         assert not (tmp_path / "run" / "model.bin").exists()
 
-    def test_network_is_sized_from_the_dataset(self, tmp_path, monkeypatch):
-        """input_dim and output_dim are the dataset's widths, not ArchitectureSpec's defaults."""
-        cfg = small_config(tmp_path)
-        assert run("generate", "--config", cfg) == 0
-
-        def narrowed(path):
-            ds = load_dataset(path)
-            ds.targets = ds.targets[:, :-1]
-            return ds
-
-        monkeypatch.setattr(cli, "load_dataset", narrowed)
-        assert run("train", "--config", cfg, "--max-epochs", 1) == 0
-        head = (tmp_path / "run" / "model.bin").read_bytes().split(b"\n")[:4]
-        assert head[1:4:2] == [b"input_dim 4", b"output_dim 3"]
-
 
 class TestEval:
     def test_oracle_mode_scores_zero(self, tmp_path, capsys):
@@ -555,32 +539,27 @@ class TestEval:
         assert np.isfinite(mse)
         assert len(per_output) == 4
 
-    def test_input_dimension_mismatch_fails(self, tmp_path, capsys):
-        cfg = small_config(tmp_path)
-        assert run("generate", "--config", cfg) == 0
-        bad = init_model(ArchitectureSpec(input_dim=3, hidden_dims=(8,), output_dim=4), 0)
-        save_model(bad, tmp_path / "bad_model.bin")
-        assert run("eval", "--config", cfg, "--model", tmp_path / "bad_model.bin") != 0
-        assert "shape (B, 3)" in capsys.readouterr().err
-
 
 class TestModelWidths:
-    @pytest.mark.parametrize("widths", [(4, 3), (3, 4)], ids=["output_dim-3", "input_dim-3"])
+    @pytest.mark.parametrize("fixed, lineno", [("output_dim 4", 4), ("input_dim 4", 2)],
+                             ids=["output_dim-3", "input_dim-3"])
     @pytest.mark.parametrize("command", ["eval", "sweep", "phasespace"])
-    def test_model_off_the_row_layout_fails_naming_its_file(self, tmp_path, capsys, command, widths):
-        """A model whose (input_dim, output_dim) is not the row layout's fails before
-        it predicts, naming its file and both pairs of widths, and writes nothing."""
+    def test_model_off_the_row_layout_fails_naming_its_file(self, tmp_path, capsys, command, fixed, lineno):
+        """A model file whose width line is not the row layout's fails before it
+        predicts, naming its file and line, and writes nothing."""
         cfg = small_config(tmp_path)
         assert run("generate", "--config", cfg) == 0
         path = tmp_path / "odd_model.bin"
-        spec = ArchitectureSpec(input_dim=widths[0], hidden_dims=(8,), output_dim=widths[1])
-        save_model(init_model(spec, 0), path)
+        save_model(init_model(ArchitectureSpec(hidden_dims=(8,)), 0), path)
+        edited = fixed[:-1] + "3"
+        data = path.read_bytes()
+        assert f"\n{fixed}\n".encode() in data
+        path.write_bytes(data.replace(f"\n{fixed}\n".encode(), f"\n{edited}\n".encode(), 1))
         before = sorted((tmp_path / "run").iterdir())
         capsys.readouterr()
         assert run(command, "--config", cfg, "--model", path) == 1
         assert capsys.readouterr().err == (
-            f"error: {path}: the model maps shape (B, {widths[0]}) to (B, {widths[1]}), "
-            "a row needs (B, 4) to (B, 4)\n"
+            f"error: {path}: line {lineno}: expected {fixed!r}, got {edited!r}\n"
         )
         assert sorted((tmp_path / "run").iterdir()) == before
 

@@ -37,7 +37,7 @@ MAX = np.finfo(np.float64).max
 
 
 def small_spec(hidden=(8,)):
-    return ArchitectureSpec(input_dim=4, hidden_dims=hidden, output_dim=4)
+    return ArchitectureSpec(hidden_dims=hidden)
 
 
 def random_batch(rng, b=16):
@@ -837,12 +837,12 @@ class TestSerialization:
     @pytest.mark.parametrize(
         "old, new, lineno",
         [
-            ("input_dim 4\n", "input_dim 4.7\n", 2),
+            ("hidden_dims 8 6\n", "hidden_dims 8 6.5\n", 3),
             ("hidden_dims 8 6\n", "hidden_dims 8 x\n", 3),
             ("init_seed 0\n", "init_seed 1.5\n", 6),
             (None, "w 1 2 3 4\n", 9),
             (None, "\n", 9),
-            ("input_dim 4\n", "input_dim 0\n", 2),
+            ("hidden_dims 8 6\n", "hidden_dims 8 0\n", 3),
             ("momentum 0.98999999999999999\n", "momentum 2\n", 7),
             ("momentum 0.98999999999999999\n", "momentum 0.9\n", 7),
             ("epsilon 0.001\n", "epsilon 0\n", 8),
@@ -865,13 +865,20 @@ class TestSerialization:
             load_model(path)
         assert str(path) in str(excinfo.value)
 
-    @pytest.mark.parametrize("value", ["0", "2"])
-    def test_batchnorm_line_must_read_1(self, tmp_path, value):
-        """Every hidden block has batchnorm, so line 5 is always `batchnorm 1`."""
-        path = self.edited_file(tmp_path, "batchnorm 1\n", f"batchnorm {value}\n")
+    @pytest.mark.parametrize(
+        "fixed, edited, lineno",
+        [("input_dim 4", "input_dim 3", 2), ("output_dim 4", "output_dim 3", 4),
+         ("batchnorm 1", "batchnorm 0", 5), ("batchnorm 1", "batchnorm 2", 5)],
+        ids=["input_dim-3", "output_dim-3", "batchnorm-0", "batchnorm-2"],
+    )
+    def test_fixed_line_must_read_as_written(self, tmp_path, fixed, edited, lineno):
+        """The in and out widths are the row layout's and every hidden block has
+        batchnorm, so lines 2, 4 and 5 are always `input_dim 4`, `output_dim 4` and
+        `batchnorm 1`."""
+        path = self.edited_file(tmp_path, fixed + "\n", edited + "\n")
         with pytest.raises(FormatError) as excinfo:
             load_model(path)
-        expected = f"line 5: expected 'batchnorm 1', got 'batchnorm {value}'"
+        expected = f"line {lineno}: expected {fixed!r}, got {edited!r}"
         assert str(excinfo.value) == f"{path}: {expected}"
 
     @pytest.mark.parametrize("count", ["177", "179", "0178"])

@@ -10,6 +10,7 @@ import pytest
 from rk4 import classical_rk4
 from wignernet.data import SamplingRanges, sample_inputs
 from wignernet.oscillator import (
+    DOMAIN,
     OscillatorConfig,
     _exact_var_x,
     _paper_cross_term,
@@ -218,6 +219,28 @@ class TestPaperDeviations:
         limit = -(sx0**2) * math.sin(2.0 * w * t)
         cross = _paper_cross_term(cfg, sx0, hbar / (2.0 * sx0), hbar)
         assert np.all(np.abs(cross - limit) <= 1e-15 * np.abs(limit))
+
+    @pytest.mark.parametrize("m, w, t", [(1.0, 1.0, 5.0), (1.0, 1.0, 0.3), (2.5, 0.3, 7.1), (1.0, 1.0, 0.0),
+                                         (1e-3, 1e3, 2.0), (1e6, 1e-6, 1e6), (1e-6, 1e6, 3.0)])
+    def test_variance_is_linear_in_the_initial_variances(self, m, w, t):
+        """With hbar = 2 sigma_x0 sigma_p0 the cross term is sin(2 omega t) (sigma_p0^2 / (m omega)^2
+        - sigma_x0^2), so the signed sigma_xt^2 (negative on clamped rows) is
+        (c^2 - sin 2wt) sigma_x0^2 + ((s^2 + sin 2wt) / (m w)^2) sigma_p0^2, to 64 ulp of
+        the larger term, over log-uniform DOMAIN draws of sigma_x0 and hbar."""
+        cfg, n = OscillatorConfig(m=m, omega=w, t=t), 20_000
+        rng = np.random.default_rng(20)
+        sx0 = 10.0 ** rng.uniform(*np.log10(DOMAIN["sigma_x0"]), n)
+        hbar = 10.0 ** rng.uniform(*DOMAIN["hbar_log10"], n)
+        targets, clamped = evolve_batch(cfg, np.column_stack([np.zeros((n, 2)), sx0, hbar]))
+        signed = np.where(clamped, -1.0, 1.0) * targets[:, 2] ** 2
+        c, s, s2 = math.cos(w * t), math.sin(w * t), math.sin(2.0 * w * t)
+        terms = np.array([(c * c - s2) * sx0**2, ((s * s + s2) / (m * w) ** 2) * (hbar / (2.0 * sx0)) ** 2])
+        assert np.all(np.abs(signed - terms.sum(0)) <= 64 * np.spacing(np.abs(terms).max(0)))
+
+    def test_stock_variance_coefficients_are_positive(self):
+        """At the stock t = 5 both coefficients are positive, so no stock row clamps."""
+        c, s, s2 = math.cos(5.0), math.sin(5.0), math.sin(10.0)
+        assert (round(c * c - s2, 4), round(s * s + s2, 4)) == (0.6245, 0.3755)
 
 
 class TestHighPrecisionReference:

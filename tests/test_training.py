@@ -49,7 +49,7 @@ def affine_dataset(n=300, seed=0):
 
 
 def tiny_model(seed=0, hidden=(16,)):
-    return init_model(ArchitectureSpec(input_dim=4, hidden_dims=hidden, output_dim=4), seed)
+    return init_model(ArchitectureSpec(hidden_dims=hidden), seed)
 
 
 class TestTrainConfig:
